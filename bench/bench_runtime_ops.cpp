@@ -220,7 +220,7 @@ void bench_join_chain_async(benchmark::State& state) {
 // governor enabled but every budget unlimited, so it polls (every 5 ms) and
 // never trips. The steady-state cost has two parts: the ladder verifier's
 // extra virtual hop + level/forest tag per node on every policy check, and
-// the sampler thread's periodic footprint probe. Compare against
+// the periodic footprint probe on the housekeeping thread. Compare against
 // RuntimeOps/ForkAllJoinAll10k/tj-gt — the ratio is the price of keeping
 // the degradation machinery armed.
 void bench_join_chain_governor_idle(benchmark::State& state) {

@@ -50,9 +50,7 @@ struct GateStats {
   std::uint64_t deadlocks_averted = 0;  ///< joins faulted on a real cycle
   /// Of deadlocks_averted: cycles caught on an edge the policy/OWP had
   /// APPROVED (no rejection involved — an allowed wait closed the cycle, or
-  /// a transfer's retarget would have). The exact reconciliation invariant
-  /// is then: policy_rejections + owp_rejections == false_positives +
-  /// owp_false_positives + (deadlocks_averted - deadlocks_averted_approved).
+  /// a transfer's retarget would have); see reconciles().
   std::uint64_t deadlocks_averted_approved = 0;
   std::uint64_t cycle_checks = 0;       ///< WFG cycle detections performed
   // Promise / ownership-policy counters (zero unless promises are in play).
@@ -72,8 +70,16 @@ struct GateStats {
   /// BECAUSE the optimistic mode approved without checking. Disjoint from
   /// deadlocks_averted (synchronous pre-block faults), so the async ledger is
   /// deadlock_incidents == deadlocks_averted + cycles_recovered, and the
-  /// rejection identity above is untouched (a recovery rejects nothing).
+  /// rejection identity (reconciles()) is untouched: it rejects nothing.
   std::uint64_t cycles_recovered = 0;
+
+  /// The exact rejection identity: every rejection was either cleared by
+  /// the fallback or a genuinely averted deadlock.
+  bool reconciles() const {
+    return policy_rejections + owp_rejections ==
+           false_positives + owp_false_positives +
+               (deadlocks_averted - deadlocks_averted_approved);
+  }
 };
 
 /// Field-complete accumulation — the single shared definition of "add these

@@ -127,9 +127,7 @@ WorkerStateBoard::~WorkerStateBoard() {
 
 WorkerSlot* WorkerStateBoard::register_worker() {
   auto* slot = new WorkerSlot();
-  if (contention_profiling_enabled()) {
-    slot->last_ns.store(contention_now_ns(), std::memory_order_relaxed);
-  }
+  slot->set_state(WorkerState::Idle);
   std::scoped_lock lock(mu_);
   slots_.push_back(slot);
   return slot;

@@ -141,8 +141,9 @@ const char* to_string(WorkerState s);
 
 std::uint64_t contention_now_ns();
 
-/// One worker's published state plus its cumulative per-state timeline.
-struct WorkerSlot {
+/// One worker's published state plus its cumulative per-state timeline, on
+/// its own cache line: slots are allocated back to back, written in parallel.
+struct alignas(64) WorkerSlot {
   std::atomic<std::uint8_t> state{
       static_cast<std::uint8_t>(WorkerState::Idle)};
   std::atomic<std::uint64_t> state_ns[kWorkerStateCount] = {};
@@ -184,8 +185,8 @@ class WorkerStateBoard {
   WorkerStateBoard(const WorkerStateBoard&) = delete;
   WorkerStateBoard& operator=(const WorkerStateBoard&) = delete;
 
-  /// Stable slot for one worker thread. Starts in Idle; when profiling is
-  /// already enabled the timeline epoch is stamped immediately.
+  /// Stable slot for one worker thread, starting with a transition to Idle,
+  /// so it shows on the board before its thread first runs.
   WorkerSlot* register_worker();
 
   struct Totals {

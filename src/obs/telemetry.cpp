@@ -61,7 +61,7 @@ void TelemetrySink::register_histogram(std::string name,
 
 void TelemetrySink::start() {
   std::scoped_lock lock(mu_);
-  if (started_) return;
+  if (active()) return;
   // The recorder IS the obs on/off switch: no recorder, no telemetry —
   // the same single null-pointer branch contract every emit site has.
   if (rt_.recorder() == nullptr) return;
@@ -76,23 +76,21 @@ void TelemetrySink::start() {
   rt_.recorder()->metrics().for_each_histogram(
       [&fixed](const char*, const LatencyHistogram&) { ++fixed; });
   hist_prev_.assign(fixed + extra_.size(), DeltaState{});
-  started_ = true;
   active_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { sampler_loop(); });
+  timer_ = rt_.housekeeper().every(
+      std::chrono::milliseconds(cfg_.cadence_ms), [this] { sample_now(); });
 }
 
 void TelemetrySink::stop() {
+  runtime::Housekeeper::Id timer = 0;
   {
     std::scoped_lock lock(mu_);
-    if (!started_ || stopped_) return;
+    if (!active() || stopped_) return;
     stopped_ = true;
+    timer = timer_;
   }
-  {
-    std::scoped_lock lock(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  // Unlocked: an in-flight sample holds mu_ until it returns.
+  rt_.housekeeper().cancel(timer);
   // Final synchronous sample: the workload has quiesced by the time a
   // service stops its sink, so this line carries the end-of-run truth the
   // reconciliation check compares against gate_stats().
@@ -108,21 +106,6 @@ void TelemetrySink::sample_now() {
   if (!active()) return;
   std::scoped_lock lock(mu_);
   sample_locked();
-}
-
-void TelemetrySink::sampler_loop() {
-  const auto cadence = std::chrono::milliseconds(
-      cfg_.cadence_ms == 0 ? 1 : cfg_.cadence_ms);
-  std::unique_lock stop_lock(stop_mu_);
-  while (!stop_cv_.wait_for(stop_lock, cadence,
-                            [this] { return stop_requested_; })) {
-    stop_lock.unlock();
-    {
-      std::scoped_lock lock(mu_);
-      sample_locked();
-    }
-    stop_lock.lock();
-  }
 }
 
 void TelemetrySink::sample_locked() {
@@ -153,9 +136,12 @@ void TelemetrySink::sample_locked() {
      << ",\"policy_rejections\":" << s.gate.policy_rejections
      << ",\"false_positives\":" << s.gate.false_positives
      << ",\"deadlocks_averted\":" << s.gate.deadlocks_averted
+     << ",\"deadlocks_averted_approved\":"
+     << s.gate.deadlocks_averted_approved
      << ",\"cycle_checks\":" << s.gate.cycle_checks
      << ",\"awaits_checked\":" << s.gate.awaits_checked
      << ",\"owp_rejections\":" << s.gate.owp_rejections
+     << ",\"owp_false_positives\":" << s.gate.owp_false_positives
      << ",\"ownership_violations\":" << s.gate.ownership_violations
      << ",\"promises_orphaned\":" << s.gate.promises_orphaned
      << ",\"requests_checked\":" << s.gate.requests_checked

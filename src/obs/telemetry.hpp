@@ -1,17 +1,17 @@
 #pragma once
-// Continuous telemetry export: a background sampler that turns the
-// introspection snapshot machinery (runtime/introspect.hpp) into a time
-// series. Every cadence_ms it captures a RuntimeSnapshot plus every metrics
-// histogram's summary(), and appends one self-contained JSON object per
-// sample to a JSONL file; optionally it also rewrites a Prometheus
+// Continuous telemetry export: a sampler on the runtime's housekeeping
+// thread (runtime/housekeeper.hpp) that turns the introspection snapshot
+// machinery (runtime/introspect.hpp) into a time series. Every cadence_ms
+// it captures a RuntimeSnapshot plus every metrics histogram's summary(),
+// and appends one self-contained JSON object per sample to a JSONL file; optionally it also rewrites a Prometheus
 // text-exposition file (file-based scrape target — this tree has no HTTP
 // server and needs none for node-exporter-style collection).
 //
 // Cost contract (same as the flight recorder): when the runtime's obs
 // config is off there is no recorder, the sink refuses to start, and
 // nothing samples — the hot path never knows telemetry exists. When on,
-// the cost is one snapshot + O(histograms) relaxed reads per tick on a
-// dedicated thread; the instrumented code paths pay nothing extra.
+// the cost is one snapshot + O(histograms) relaxed reads per tick on the
+// housekeeping thread; the instrumented code paths pay nothing extra.
 //
 // Every counter and quantile in a sample is cumulative since runtime
 // construction; the per-tick "delta" object carries the count/sum_ns
@@ -26,16 +26,15 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "runtime/housekeeper.hpp"
 
 namespace tj::runtime {
 class Runtime;
@@ -68,12 +67,12 @@ class TelemetrySink {
   /// must outlive the sink.
   void register_histogram(std::string name, const LatencyHistogram* h);
 
-  /// Launches the sampler thread. No-op when inert or already started.
+  /// Starts sampling every cadence_ms. No-op when inert or already started.
   void start();
 
-  /// Stops the sampler, takes one final synchronous sample (the
-  /// reconciliation anchor), flushes the JSONL stream and rewrites the
-  /// Prometheus dump. Idempotent.
+  /// Cancels the periodic sample (waiting out one in flight), takes one
+  /// final synchronous sample (the reconciliation anchor), flushes the
+  /// JSONL stream and rewrites the Prometheus dump. Idempotent.
   void stop();
 
   /// True once start() succeeded (recorder attached + output configured).
@@ -84,8 +83,8 @@ class TelemetrySink {
     return samples_.load(std::memory_order_relaxed);
   }
 
-  /// Captures and writes one sample immediately (also what the sampler
-  /// thread and stop() call). Exposed so tests can drive the sink without
+  /// Captures and writes one sample immediately (also what the periodic
+  /// timer and stop() call). Exposed so tests can drive the sink without
   /// timing dependence. No-op when the sink never became active.
   void sample_now();
 
@@ -99,7 +98,6 @@ class TelemetrySink {
     std::uint64_t sum_ns = 0;
   };
 
-  void sampler_loop();
   /// Pre: mu_ held. Renders + writes one sample, updates delta state.
   void sample_locked();
   std::string render_prometheus(const runtime::RuntimeSnapshot& s);
@@ -120,12 +118,8 @@ class TelemetrySink {
   std::uint64_t prev_lock_contended_ = 0;
   std::chrono::steady_clock::time_point epoch_{};
 
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;  // guarded by stop_mu_
-  std::thread thread_;
-  bool started_ = false;
-  bool stopped_ = false;
+  runtime::Housekeeper::Id timer_ = 0;  // guarded by mu_
+  bool stopped_ = false;                // guarded by mu_
 };
 
 }  // namespace tj::obs

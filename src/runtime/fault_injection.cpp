@@ -1,6 +1,7 @@
 #include "runtime/fault_injection.hpp"
 
-#include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "runtime/errors.hpp"
 
@@ -17,25 +18,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 }  // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) {}
-
-FaultInjector::~FaultInjector() { shutdown(); }
-
-void FaultInjector::shutdown() {
-  std::thread repair;
-  std::vector<PendingWake> leftovers;
-  {
-    std::scoped_lock lock(repair_mu_);
-    stop_ = true;
-    leftovers.swap(pending_);
-    repair = std::move(repair_thread_);
-  }
-  repair_cv_.notify_all();
-  if (repair.joinable()) repair.join();
-  // Flush anything the repair thread had not delivered yet: a dropped
-  // wakeup must never be dropped *forever*.
-  for (PendingWake& w : leftovers) w.renotify();
-}
+FaultInjector::FaultInjector(FaultPlan plan, Housekeeper& housekeeper)
+    : plan_(plan), housekeeper_(housekeeper) {}
 
 bool FaultInjector::decide(std::uint32_t period, std::uint32_t site,
                            std::atomic<std::uint64_t>& counter,
@@ -70,18 +54,9 @@ bool FaultInjector::perturb_wakeup(std::function<void()> renotify) {
   const std::uint64_t h = mix(plan_.seed ^ (3ULL << 56) ^ n);
   if (plan_.dropped_wakeup_period != 0 && h % plan_.dropped_wakeup_period == 0) {
     dropped_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    const auto due = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(plan_.redelivery_ms);
-    {
-      std::scoped_lock lock(repair_mu_);
-      if (stop_) return false;  // tearing down: deliver inline instead
-      pending_.push_back({due, std::move(renotify)});
-      if (!repair_started_) {
-        repair_started_ = true;
-        repair_thread_ = std::thread([this] { repair_loop(); });
-      }
-    }
-    repair_cv_.notify_one();
+    // Once the housekeeper has stopped, after() runs renotify inline.
+    housekeeper_.after(std::chrono::milliseconds(plan_.redelivery_ms),
+                       std::move(renotify));
     return true;
   }
   if (plan_.delayed_wakeup_period != 0 &&
@@ -136,34 +111,6 @@ bool FaultInjector::should_kill_worker() noexcept {
   }
   return decide(plan_.worker_death_period, 5, boundary_events_,
                 worker_deaths_);
-}
-
-void FaultInjector::repair_loop() {
-  std::unique_lock lock(repair_mu_);
-  while (true) {
-    if (pending_.empty()) {
-      if (stop_) return;
-      repair_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    auto next = std::min_element(
-        pending_.begin(), pending_.end(),
-        [](const PendingWake& a, const PendingWake& b) { return a.due < b.due; });
-    // Copy the deadline out of the vector: wait_until holds its time_point
-    // by reference across the unlocked wait, and a concurrent
-    // perturb_wakeup push_back may reallocate pending_ underneath it.
-    const auto due = next->due;
-    if (due > now && !stop_) {
-      repair_cv_.wait_until(lock, due);
-      continue;
-    }
-    PendingWake wake = std::move(*next);
-    pending_.erase(next);
-    lock.unlock();
-    wake.renotify();  // redeliver the dropped notification
-    lock.lock();
-  }
 }
 
 FaultStats FaultInjector::stats() const {

@@ -8,8 +8,9 @@
 //   * delayed wakeups             — the Done/fulfilled notification is
 //     published late, widening the race windows around joins;
 //   * dropped wakeups             — the notification is suppressed entirely
-//     and redelivered by the injector's repair thread a little later,
-//     modelling a lost futex wake (waiters must survive it, not hang);
+//     and redelivered a little later by a one-shot on the runtime's
+//     housekeeping thread, modelling a lost futex wake (waiters must
+//     survive it, not hang);
 //   * fulfiller failures          — Promise::fulfill throws
 //     InjectedFaultError *before* the value is published, so the obligation
 //     machinery (orphaning, poisoning, awaiter faulting) has to recover;
@@ -22,16 +23,12 @@
 // whole layer; every hook then short-circuits on one relaxed load.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "core/async_detect.hpp"
 #include "core/guarded.hpp"
+#include "runtime/housekeeper.hpp"
 
 namespace tj::runtime {
 
@@ -45,7 +42,7 @@ struct FaultPlan {
   std::uint32_t delayed_wakeup_period = 0;    ///< late Done/fulfill notify
   std::uint32_t delay_us = 200;               ///< how late
   std::uint32_t dropped_wakeup_period = 0;    ///< suppressed Done notify
-  std::uint32_t redelivery_ms = 2;            ///< repair-thread redelivery lag
+  std::uint32_t redelivery_ms = 2;            ///< dropped-wakeup redelivery lag
   std::uint32_t fulfill_failure_period = 0;   ///< fulfill throws before value
   std::uint32_t worker_death_period = 0;      ///< worker exits at boundary
   std::uint32_t max_worker_deaths = 8;        ///< cap on respawn churn
@@ -112,17 +109,7 @@ struct FaultStats {
 class FaultInjector final : public core::GateFaultHooks,
                             public core::DetectorFaultHooks {
  public:
-  explicit FaultInjector(FaultPlan plan);
-  ~FaultInjector() override;  // joins the repair thread
-
-  /// Joins the repair thread and flushes undelivered wakeups inline on the
-  /// calling thread. Idempotent; the destructor calls it. The Runtime calls
-  /// it after quiescence, *before* its own members are torn down: a pending
-  /// renotify closure can hold the last reference to a task whose promise
-  /// release calls back into the runtime's promise-state map, so those
-  /// closures must not be destroyed on the repair thread while the runtime
-  /// destructor is already running.
-  void shutdown();
+  FaultInjector(FaultPlan plan, Housekeeper& housekeeper);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -138,10 +125,10 @@ class FaultInjector final : public core::GateFaultHooks,
   // --- wakeup faults ---
   /// Called with the Done/fulfilled store already published. Either delays
   /// the calling thread briefly (delayed wakeup), or swallows this
-  /// notification and schedules `renotify` on the repair thread (dropped
-  /// wakeup, returns true — the caller must then NOT notify), or does
-  /// nothing. `renotify` must be safe to run as long as the injector lives;
-  /// the Runtime keeps the injector alive until quiescence.
+  /// notification and schedules `renotify` redelivery_ms later on the
+  /// housekeeper (dropped wakeup, returns true — the caller must then NOT
+  /// notify), or does nothing. `renotify` must be safe to run until the
+  /// housekeeper stops.
   bool perturb_wakeup(std::function<void()> renotify);
 
   /// Delay-only variant for publication paths whose notification must not
@@ -160,7 +147,6 @@ class FaultInjector final : public core::GateFaultHooks,
   /// max_worker_deaths; the scheduler respawns a replacement).
   bool should_kill_worker() noexcept;
 
-  const FaultPlan& plan() const { return plan_; }
   FaultStats stats() const;
 
  private:
@@ -169,9 +155,8 @@ class FaultInjector final : public core::GateFaultHooks,
               std::atomic<std::uint64_t>& counter,
               std::atomic<std::uint64_t>& injected) noexcept;
 
-  void repair_loop();
-
   const FaultPlan plan_;
+  Housekeeper& housekeeper_;
 
   std::atomic<std::uint64_t> join_events_{0};
   std::atomic<std::uint64_t> await_events_{0};
@@ -192,20 +177,6 @@ class FaultInjector final : public core::GateFaultHooks,
   std::atomic<std::uint64_t> detector_delays_{0};
   std::atomic<std::uint64_t> detector_drops_{0};
   std::atomic<std::uint64_t> detector_deaths_{0};
-
-  // Repair thread: redelivers dropped wakeups after redelivery_ms. Started
-  // lazily on the first drop; pending notifications are flushed on stop so
-  // no wakeup is ever lost for good.
-  struct PendingWake {
-    std::chrono::steady_clock::time_point due;
-    std::function<void()> renotify;
-  };
-  std::mutex repair_mu_;
-  std::condition_variable repair_cv_;
-  std::vector<PendingWake> pending_;  // guarded by repair_mu_
-  bool repair_started_ = false;       // guarded by repair_mu_
-  bool stop_ = false;                 // guarded by repair_mu_
-  std::thread repair_thread_;         // guarded by repair_mu_ (start only)
 };
 
 }  // namespace tj::runtime

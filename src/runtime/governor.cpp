@@ -25,22 +25,7 @@ ResourceGovernor::ResourceGovernor(GovernorConfig cfg,
       wfg_(wfg),
       live_tasks_(std::move(live_tasks)),
       rec_(rec),
-      epoch_(std::chrono::steady_clock::now()) {
-  thread_ = std::thread([this] { poll_loop(); });
-}
-
-ResourceGovernor::~ResourceGovernor() {
-  {
-    std::scoped_lock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-core::PolicyChoice ResourceGovernor::active_policy() const {
-  return ladder_ != nullptr ? ladder_->kind() : core::PolicyChoice::None;
-}
+      epoch_(std::chrono::steady_clock::now()) {}
 
 ResourceGovernor::Snapshot ResourceGovernor::snapshot() const {
   Snapshot s;
@@ -54,18 +39,6 @@ ResourceGovernor::Snapshot ResourceGovernor::snapshot() const {
     s.policy_check_p99_ns = rec_->metrics().policy_check_ns.summary().p99_ns;
   }
   return s;
-}
-
-void ResourceGovernor::poll_loop() {
-  std::unique_lock lock(mu_);
-  const auto poll = std::chrono::milliseconds(cfg_.poll_ms);
-  while (!stop_) {
-    cv_.wait_for(lock, poll, [this] { return stop_; });
-    if (stop_) return;
-    lock.unlock();
-    poll_now();
-    lock.lock();
-  }
 }
 
 void ResourceGovernor::poll_now() {

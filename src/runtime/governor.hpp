@@ -1,11 +1,12 @@
 #pragma once
-// ResourceGovernor: the runtime's overload-response loop. A background
-// sampler (same shape as the join watchdog) polls the footprint of the
-// verification machinery — live verifier state bytes/nodes, waits-for-graph
-// size, live tasks, and the rolling p99 policy-check latency from the obs
-// metrics registry — against the budgets in GovernorConfig. When a budget
-// stays tripped for `trip_polls` consecutive samples (hysteresis: transient
-// spikes do not flap the policy), the governor responds in escalating order:
+// ResourceGovernor: the runtime's overload-response loop. Run every poll_ms
+// on the runtime's housekeeping thread, poll_now() checks the footprint of
+// the verification machinery — live verifier state bytes/nodes, waits-for-
+// graph size, live tasks, and the rolling p99 policy-check latency from the
+// obs metrics registry — against the budgets in GovernorConfig. When a
+// budget stays tripped for `trip_polls` consecutive samples (hysteresis:
+// transient spikes do not flap the policy), the governor responds in
+// escalating order:
 //
 //   1. If the active ladder level is KJ-VC and its epoch GC is not yet on,
 //      enable it and give the compactor a full trip window to relieve the
@@ -23,18 +24,16 @@
 // "recovery" means pressure subsides and the governor simply stops stepping.
 //
 // Admission control (the spawn-inline watermark) and deadline joins are
-// enforced inline by the runtime — the governor's poll loop is not on any
+// enforced inline by the runtime — the governor's polling is not on any
 // hot path, and a join's only governance cost is the one relaxed load the
 // ladder's kind()/permits_join routing already pays.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/ladder.hpp"
@@ -45,7 +44,7 @@
 namespace tj::runtime {
 
 /// Governance knobs (embedded in runtime::Config). A budget of 0 means
-/// "unlimited" — with all budgets 0 the poll loop only snapshots.
+/// "unlimited" — with all budgets 0 polling only snapshots.
 struct GovernorConfig {
   bool enabled = false;
   std::uint32_t poll_ms = 5;  ///< sampling cadence
@@ -65,7 +64,7 @@ struct GovernorConfig {
   ///
   /// Contract: this watermark is enforced by the runtime at EVERY spawn
   /// whenever it is non-zero — independently of `enabled`, which gates only
-  /// the background poll loop (downgrades / GC / snapshots). It is rung 2
+  /// the background polling (downgrades / GC / snapshots). It is rung 2
   /// of the service's admission ladder (docs/robustness.md): per-tenant
   /// shedding at the front door, then spawn backpressure, then policy
   /// downgrade. Regression-tested by
@@ -111,13 +110,12 @@ class ResourceGovernor {
                    const wfg::WaitsForGraph* wfg,
                    std::function<std::size_t()> live_tasks,
                    obs::FlightRecorder* rec = nullptr);
-  ~ResourceGovernor();
   ResourceGovernor(const ResourceGovernor&) = delete;
   ResourceGovernor& operator=(const ResourceGovernor&) = delete;
 
-  /// Samples and evaluates once, synchronously — the poll thread calls this
-  /// every poll_ms; tests call it directly for determinism (pair with a
-  /// large poll_ms to keep the background thread out of the way).
+  /// Samples and evaluates once — the housekeeping thread calls this every
+  /// poll_ms; tests call it directly (with a large poll_ms, so calls never
+  /// overlap).
   void poll_now();
 
   Snapshot snapshot() const;
@@ -128,21 +126,16 @@ class ResourceGovernor {
   }
   std::uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }
 
-  /// The ladder's current level / active policy (configured policy when no
-  /// ladder exists).
+  /// The ladder's current level (0 when no ladder exists).
   std::size_t level() const {
     return ladder_ != nullptr ? ladder_->level() : 0;
   }
-  core::PolicyChoice active_policy() const;
 
   std::vector<Transition> transitions() const;
   /// "tj-gt->tj-sp@12ms(bytes); ..." — compact history for stall reports.
   std::string history_string() const;
 
-  const GovernorConfig& config() const { return cfg_; }
-
  private:
-  void poll_loop();
   void act(const std::string& reason);
   void record_transition(Transition t, obs::EventKind kind);
 
@@ -155,15 +148,12 @@ class ResourceGovernor {
 
   std::atomic<bool> pressure_{false};
   std::atomic<std::uint64_t> polls_{0};
-  std::uint32_t consecutive_ = 0;      // poll-thread only (or under poll calls)
-  std::uint32_t cooldown_left_ = 0;    // poll-thread only
-  std::uint64_t kj_compactions_seen_ = 0;  // poll-thread only
+  std::uint32_t consecutive_ = 0;          // poll_now() only
+  std::uint32_t cooldown_left_ = 0;        // poll_now() only
+  std::uint64_t kj_compactions_seen_ = 0;  // poll_now() only
 
   mutable std::mutex mu_;
   std::vector<Transition> transitions_;  // guarded by mu_
-  std::condition_variable cv_;
-  bool stop_ = false;  // guarded by mu_
-  std::thread thread_;
 };
 
 }  // namespace tj::runtime

@@ -251,22 +251,17 @@ extern "C" void introspect_signal_handler(int) {
 }
 }  // namespace
 
-IntrospectionHook::IntrospectionHook(const Runtime& rt, std::uint32_t poll_ms,
-                                     Sink sink)
-    : rt_(rt), poll_ms_(poll_ms == 0 ? 1 : poll_ms), sink_(std::move(sink)) {
+IntrospectionHook::IntrospectionHook(const Runtime& rt, Sink sink)
+    : rt_(rt), sink_(std::move(sink)) {
   g_hook.store(this, std::memory_order_release);
-  thread_ = std::thread([this] { poll_loop(); });
+  timer_ = rt_.housekeeper().every(std::chrono::milliseconds(50),
+                                   [this] { poll(); });
 }
 
 IntrospectionHook::~IntrospectionHook() {
   IntrospectionHook* self = this;
   g_hook.compare_exchange_strong(self, nullptr, std::memory_order_acq_rel);
-  {
-    std::scoped_lock lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  cv_.notify_all();
-  thread_.join();
+  rt_.housekeeper().cancel(timer_);
 }
 
 bool IntrospectionHook::request_current() {
@@ -285,23 +280,13 @@ bool IntrospectionHook::install_signal_handler() {
 #endif
 }
 
-void IntrospectionHook::poll_loop() {
-  std::unique_lock lock(mu_);
-  const auto poll = std::chrono::milliseconds(poll_ms_);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    cv_.wait_for(lock, poll,
-                 [this] { return stop_.load(std::memory_order_relaxed); });
-    if (stop_.load(std::memory_order_relaxed)) return;
-    if (!want_.exchange(false, std::memory_order_relaxed)) continue;
-    lock.unlock();
-    const RuntimeSnapshot s = snapshot(rt_);
-    if (sink_) {
-      sink_(s);
-    } else {
-      std::cerr << s.to_string();
-    }
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
+void IntrospectionHook::poll() {
+  if (!want_.exchange(false, std::memory_order_relaxed)) return;
+  const RuntimeSnapshot s = snapshot(rt_);
+  if (sink_) {
+    sink_(s);
+  } else {
+    std::cerr << s.to_string();
   }
 }
 

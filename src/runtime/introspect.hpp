@@ -9,18 +9,15 @@
 // operations), which is exactly what a stuck-process diagnosis needs.
 //
 // Two triggers are provided on top of the direct snapshot() call: an
-// IntrospectionHook polling thread whose request() is safe from any
-// context, and a SIGUSR-style process signal routed to the most recently
-// armed hook (`kill -USR1 <pid>` dumps the snapshot to stderr).
+// IntrospectionHook, polled on the runtime's housekeeping thread, whose
+// request() is safe from any context, and a SIGUSR-style process signal
+// routed to the most recently armed hook (`kill -USR1 <pid>` dumps the
+// snapshot to stderr).
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/guarded.hpp"
@@ -28,6 +25,7 @@
 #include "core/witness.hpp"
 #include "obs/contention.hpp"
 #include "runtime/governor.hpp"
+#include "runtime/housekeeper.hpp"
 #include "runtime/recovery.hpp"
 #include "wfg/waits_for_graph.hpp"
 
@@ -114,24 +112,21 @@ struct RuntimeSnapshot {
 RuntimeSnapshot snapshot(const Runtime& rt);
 
 /// A polling trigger: request() (async-signal-safe after construction: one
-/// relaxed atomic store) makes the poll thread capture a snapshot and hand
-/// it to the sink — stderr text when no sink is given. The most recently
-/// constructed hook is also the process-wide signal target.
+/// relaxed atomic store) makes the next poll — every 50 ms on the runtime's
+/// housekeeping thread — capture a snapshot and hand it to the sink, stderr
+/// text when no sink is given. The most recently constructed hook is also
+/// the process-wide signal target. A hook must not outlive its runtime.
 class IntrospectionHook {
  public:
   using Sink = std::function<void(const RuntimeSnapshot&)>;
 
-  explicit IntrospectionHook(const Runtime& rt, std::uint32_t poll_ms = 50,
-                             Sink sink = {});
-  ~IntrospectionHook();
+  explicit IntrospectionHook(const Runtime& rt, Sink sink = {});
+  ~IntrospectionHook();  // cancels the poll, waiting out one in flight
   IntrospectionHook(const IntrospectionHook&) = delete;
   IntrospectionHook& operator=(const IntrospectionHook&) = delete;
 
   /// Arms the next poll to dump. Async-signal-safe.
   void request() { want_.store(true, std::memory_order_relaxed); }
-
-  /// Snapshots dumped so far.
-  std::uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
 
   /// Flags the most recently constructed live hook (async-signal-safe).
   /// False when no hook is armed.
@@ -142,17 +137,12 @@ class IntrospectionHook {
   static bool install_signal_handler();
 
  private:
-  void poll_loop();
+  void poll();
 
   const Runtime& rt_;
-  const std::uint32_t poll_ms_;
   Sink sink_;
   std::atomic<bool> want_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> dumps_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
+  Housekeeper::Id timer_ = 0;
 };
 
 }  // namespace tj::runtime

@@ -112,7 +112,7 @@ void TaskBase::run() {
     return;
   }
   // Fault injection may delay this notification, or drop it entirely and
-  // redeliver via the repair thread; the shared_ptr keeps the task alive
+  // redeliver it from the housekeeper; the shared_ptr keeps the task alive
   // until the redelivery lands.
   auto self = shared_from_this();
   if (inj->perturb_wakeup([self] {
@@ -291,7 +291,8 @@ Runtime::Runtime(Config cfg)
                     ? std::make_unique<obs::FlightRecorder>(cfg_.obs)
                     : nullptr),
       injector_(cfg_.fault_plan.enabled()
-                    ? std::make_unique<FaultInjector>(cfg_.fault_plan)
+                    ? std::make_unique<FaultInjector>(cfg_.fault_plan,
+                                                      housekeeper_)
                     : nullptr),
       gate_(cfg_.policy, verifier_.get(), cfg_.fault, owp_.get(),
             injector_.get(), recorder_.get()),
@@ -327,17 +328,23 @@ Runtime::Runtime(Config cfg)
                            recorder_.get())
                      : nullptr) {
   if (recovery_ != nullptr) recovery_->start();
+  if (governor_ != nullptr) {
+    housekeeper_.every(std::chrono::milliseconds(cfg_.governor.poll_ms),
+                       [g = governor_.get()] { g->poll_now(); });
+  }
+  if (watchdog_ != nullptr) {
+    housekeeper_.every(std::chrono::milliseconds(cfg_.watchdog.poll_ms),
+                       [w = watchdog_.get()] { w->poll_now(); });
+  }
 }
 
 Runtime::~Runtime() {
   // All spawned tasks must finish before the scheduler can be torn down;
   // root() already quiesces, this covers error paths.
   sched_.quiesce();
-  // Stop the injector's repair thread while the promise-state map is still
-  // alive: an undelivered-wake closure can hold the last reference to a
-  // task whose promise release erases from that map (members are destroyed
-  // in reverse order, and promises_ is declared after injector_).
-  if (injector_ != nullptr) injector_->shutdown();
+  // Stop background work while every member is alive: a pending redelivery
+  // can hold the last reference to a task whose release erases promises_.
+  housekeeper_.stop();
 }
 
 void Runtime::claim_root() {

@@ -23,6 +23,7 @@
 #include "runtime/fault_injection.hpp"
 #include "runtime/future.hpp"
 #include "runtime/governor.hpp"
+#include "runtime/housekeeper.hpp"
 #include "runtime/promise.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/scheduler.hpp"
@@ -167,6 +168,8 @@ class Runtime {
   /// The policy currently ruling joins: equals config().policy until the
   /// governor downgrades the ladder, then the active (lower) level.
   core::PolicyChoice active_policy() const { return gate_.active_kind(); }
+  /// The thread for periodic and delayed work (runtime/housekeeper.hpp).
+  Housekeeper& housekeeper() const { return housekeeper_; }
   /// The flight recorder, or nullptr when Config::obs.enabled is false.
   obs::FlightRecorder* recorder() const { return recorder_.get(); }
   /// The gate itself (diagnostics/tests: e.g. polling graph().is_waiting()).
@@ -267,16 +270,15 @@ class Runtime {
   // it) and destroyed after them; nullptr unless cfg_.obs.enabled.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   // Declared before gate_/sched_ (they hold non-owning pointers to it) and
-  // destroyed after them, so pending dropped-wakeup redeliveries outlive
-  // every consumer.
+  // destroyed after them. Its pending redeliveries live on housekeeper_.
   std::unique_ptr<FaultInjector> injector_;
   core::JoinGate gate_;
   Scheduler sched_;
   std::shared_ptr<detail::CancelState> root_scope_;
   // After root_scope_, before watchdog_: the watchdog holds a non-owning
   // pointer to the governor (stall reports name the active level), so the
-  // governor must outlive it; the governor's poll thread reads the ladder
-  // verifier and the gate's WFG, so it is destroyed before them.
+  // governor must outlive it. Its polls read the ladder verifier and the
+  // gate's WFG; they run on housekeeper_, which stops before either dies.
   std::unique_ptr<ResourceGovernor> governor_;
   // Async (optimistic) mode only: owns the background detector and breaks
   // victims' waits. After governor_ (failover steps the same ladder the
@@ -285,9 +287,9 @@ class Runtime {
   // gate_/recorder_/sched_, which its detector thread reads until stopped.
   std::unique_ptr<RecoverySupervisor> recovery_;
   std::unique_ptr<JoinWatchdog> watchdog_;
-  // Declared last: references gate_/sched_/verifier_ via callbacks but runs
-  // no background thread — calls happen only on request threads, which are
-  // quiescent before ~Runtime begins.
+  // References gate_/sched_/verifier_ via callbacks but runs no background
+  // work — calls happen only on request threads, which are quiescent before
+  // ~Runtime begins.
   std::unique_ptr<AdmissionController> admission_;
   std::atomic<std::uint64_t> next_uid_{0};
   std::atomic<std::uint64_t> next_promise_uid_{0};
@@ -297,6 +299,9 @@ class Runtime {
   mutable std::mutex promises_mu_;
   // Live promise states by uid (for the orphan sweep).  guarded by promises_mu_
   std::unordered_map<std::uint64_t, detail::PromiseStateBase*> promises_;
+  // Last, so it stops first even if the constructor throws: its callbacks
+  // touch the members above. Telemetry registers via a const Runtime&.
+  mutable Housekeeper housekeeper_;
 };
 
 }  // namespace tj::runtime

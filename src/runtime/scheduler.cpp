@@ -65,7 +65,10 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::add_worker_locked() {
-  threads_.emplace_back([this] { worker_loop(); });
+  // Registered here, not on the new thread: a snapshot taken before the
+  // thread first runs must still count this worker.
+  obs::WorkerSlot* slot = worker_states_.register_worker();
+  threads_.emplace_back([this, slot] { worker_loop(slot); });
 }
 
 void Scheduler::record_compensation_locked() {
@@ -101,12 +104,10 @@ void Scheduler::submit(std::shared_ptr<TaskBase> task) {
   cv_.notify_one();
 }
 
-void Scheduler::worker_loop() {
+void Scheduler::worker_loop(obs::WorkerSlot* slot) {
   t_is_worker = true;
-  // Publish this worker's state word for the timeline profile. The TLS
-  // slot also lets profiled locks report BlockedLock while this thread
+  // The TLS slot lets profiled locks report BlockedLock while this thread
   // waits on a contended runtime mutex.
-  obs::WorkerSlot* slot = worker_states_.register_worker();
   obs::tls_worker_slot() = slot;
   std::unique_lock lock(mu_);
   while (true) {

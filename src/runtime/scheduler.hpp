@@ -86,7 +86,7 @@ class Scheduler {
  private:
   friend class Runtime;
 
-  void worker_loop();
+  void worker_loop(obs::WorkerSlot* slot);
   void run_claimed(TaskBase& task);
   void add_worker_locked();  // pre: mu_ held
   void note_task_done();

@@ -70,18 +70,7 @@ JoinWatchdog::JoinWatchdog(WatchdogConfig cfg, const core::JoinGate& gate,
       gate_(gate),
       rec_(rec),
       governor_(governor),
-      recovery_(recovery) {
-  thread_ = std::thread([this] { poll_loop(); });
-}
-
-JoinWatchdog::~JoinWatchdog() {
-  {
-    std::scoped_lock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
+      recovery_(recovery) {}
 
 void JoinWatchdog::blocked(std::uint64_t waiter, std::uint64_t target,
                            bool on_promise, const char* verdict) {
@@ -118,15 +107,12 @@ std::vector<JoinWatchdog::BlockedWait> JoinWatchdog::blocked_now() const {
   return out;
 }
 
-void JoinWatchdog::poll_loop() {
-  std::unique_lock lock(mu_);
-  const auto poll = std::chrono::milliseconds(cfg_.poll_ms);
+void JoinWatchdog::poll_now() {
   const auto stall = std::chrono::milliseconds(cfg_.stall_ms);
-  while (!stop_) {
-    cv_.wait_for(lock, poll, [this] { return stop_; });
-    if (stop_) return;
+  StallReport report;
+  {
+    std::scoped_lock lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    StallReport report;
     for (auto& [waiter, e] : blocked_) {
       const auto blocked_for =
           std::chrono::duration_cast<std::chrono::milliseconds>(now - e.since);
@@ -135,68 +121,66 @@ void JoinWatchdog::poll_loop() {
       report.stalled.push_back(
           {waiter, e.target, e.on_promise, e.verdict, blocked_for, {}});
     }
-    if (report.stalled.empty()) continue;
+    if (report.stalled.empty()) return;
     ++stalls_reported_;
-    // The scan and the callback run unlocked: the gate has its own
-    // synchronisation, and a slow callback must not delay join bookkeeping.
-    lock.unlock();
-    // active_kind(), not kind(): when a governor downgraded the ladder, the
-    // report must name the policy whose verdicts admitted these waits.
-    report.policy_name = std::string(core::to_string(gate_.active_kind()));
-    report.policy_id = static_cast<std::uint8_t>(gate_.active_kind());
-    if (governor_ != nullptr) {
-      report.degradation_level = governor_->level();
-      report.degradation_history = governor_->history_string();
-    }
-    if (recovery_ != nullptr) {
-      const RecoveryStatus rs = recovery_->status();
-      report.async_mode = true;
-      report.detector_running = rs.detector.running;
-      report.detector_failed_over = rs.detector.failed_over;
-      report.detector_lag_events = rs.detector.lag_events;
-      report.detector_events_lost = rs.detector.events_lost;
-      report.cycles_recovered = rs.cycles_recovered;
-      for (const RecoveryStatus::Incident& inc : rs.recent) {
-        std::ostringstream line;
-        line << "victim " << inc.victim << " ("
-             << (inc.on_promise ? "awaiting promise " : "joining ")
-             << inc.waited_on << ", cycle len " << inc.cycle_len;
-        if (inc.tenant != 0) {
-          line << ", tenant " << static_cast<unsigned>(inc.tenant) - 1;
-        }
-        line << ")";
-        report.recovery_history.push_back(line.str());
+  }
+  // The scan and the callback run unlocked: the gate has its own
+  // synchronisation, and a slow callback must not delay join bookkeeping.
+  // active_kind(), not kind(): when a governor downgraded the ladder, the
+  // report must name the policy whose verdicts admitted these waits.
+  report.policy_name = std::string(core::to_string(gate_.active_kind()));
+  report.policy_id = static_cast<std::uint8_t>(gate_.active_kind());
+  if (governor_ != nullptr) {
+    report.degradation_level = governor_->level();
+    report.degradation_history = governor_->history_string();
+  }
+  if (recovery_ != nullptr) {
+    const RecoveryStatus rs = recovery_->status();
+    report.async_mode = true;
+    report.detector_running = rs.detector.running;
+    report.detector_failed_over = rs.detector.failed_over;
+    report.detector_lag_events = rs.detector.lag_events;
+    report.detector_events_lost = rs.detector.events_lost;
+    report.cycles_recovered = rs.cycles_recovered;
+    for (const RecoveryStatus::Incident& inc : rs.recent) {
+      std::ostringstream line;
+      line << "victim " << inc.victim << " ("
+           << (inc.on_promise ? "awaiting promise " : "joining ")
+           << inc.waited_on << ", cycle len " << inc.cycle_len;
+      if (inc.tenant != 0) {
+        line << ", tenant " << static_cast<unsigned>(inc.tenant) - 1;
       }
+      line << ")";
+      report.recovery_history.push_back(line.str());
     }
-    report.cycles = gate_.graph().find_all_cycles();
-    cycles_found_.fetch_add(report.cycles.size(), std::memory_order_relaxed);
-    if (rec_ != nullptr) {
-      // Quote the stalled parties' recent history: what the waiter (and,
-      // for task joins, the target) last did before going quiet.
-      for (StallReport::BlockedJoin& b : report.stalled) {
-        for (const obs::Event& e : rec_->recent(b.waiter, kRecentEvents)) {
+  }
+  report.cycles = gate_.graph().find_all_cycles();
+  cycles_found_.fetch_add(report.cycles.size(), std::memory_order_relaxed);
+  if (rec_ != nullptr) {
+    // Quote the stalled parties' recent history: what the waiter (and,
+    // for task joins, the target) last did before going quiet.
+    for (StallReport::BlockedJoin& b : report.stalled) {
+      for (const obs::Event& e : rec_->recent(b.waiter, kRecentEvents)) {
+        b.recent_events.push_back(obs::to_string(e));
+      }
+      if (!b.on_promise) {
+        for (const obs::Event& e : rec_->recent(b.target, kRecentEvents)) {
           b.recent_events.push_back(obs::to_string(e));
         }
-        if (!b.on_promise) {
-          for (const obs::Event& e : rec_->recent(b.target, kRecentEvents)) {
-            b.recent_events.push_back(obs::to_string(e));
-          }
-        }
       }
-      rec_->metrics().stall_reports.fetch_add(1, std::memory_order_relaxed);
-      obs::Event e;
-      e.kind = obs::EventKind::WatchdogStall;
-      e.actor = report.stalled.front().waiter;
-      e.payload = report.stalled.size();
-      rec_->emit(e);
     }
-    if (cfg_.on_stall) {
-      cfg_.on_stall(report);
-    } else {
-      const std::string text = report.to_string();
-      std::fwrite(text.data(), 1, text.size(), stderr);
-    }
-    lock.lock();
+    rec_->metrics().stall_reports.fetch_add(1, std::memory_order_relaxed);
+    obs::Event e;
+    e.kind = obs::EventKind::WatchdogStall;
+    e.actor = report.stalled.front().waiter;
+    e.payload = report.stalled.size();
+    rec_->emit(e);
+  }
+  if (cfg_.on_stall) {
+    cfg_.on_stall(report);
+  } else {
+    const std::string text = report.to_string();
+    std::fwrite(text.data(), 1, text.size(), stderr);
   }
 }
 

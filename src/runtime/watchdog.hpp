@@ -11,16 +11,14 @@
 //
 // Cost model: when disabled (the default) the runtime never touches the
 // watchdog — joins pay nothing. When enabled, a blocking join costs one
-// mutex-guarded map insert/erase, and a sampling thread wakes every poll_ms.
+// mutex-guarded map insert/erase, and the housekeeper polls every poll_ms.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,8 +86,9 @@ struct WatchdogConfig {
   bool enabled = false;
   std::uint32_t poll_ms = 50;    ///< sampling cadence
   std::uint32_t stall_ms = 500;  ///< blocked longer than this ⇒ stalled
-  /// Invoked (from the watchdog thread) for each newly stalled join batch.
-  /// Default (nullptr): write report.to_string() to stderr.
+  /// Invoked for each newly stalled join batch on the runtime's shared
+  /// housekeeping thread, so it must not block on task progress. Default
+  /// (nullptr): write report.to_string() to stderr.
   std::function<void(const StallReport&)> on_stall;
 };
 
@@ -108,7 +107,6 @@ class JoinWatchdog {
                obs::FlightRecorder* rec = nullptr,
                const ResourceGovernor* governor = nullptr,
                const RecoverySupervisor* recovery = nullptr);
-  ~JoinWatchdog();
   JoinWatchdog(const JoinWatchdog&) = delete;
   JoinWatchdog& operator=(const JoinWatchdog&) = delete;
 
@@ -119,6 +117,10 @@ class JoinWatchdog {
 
   /// Removes the record (the wait ended, however it ended).
   void unblocked(std::uint64_t waiter);
+
+  /// Reports the waits newly blocked past stall_ms as one batch; the
+  /// housekeeping thread calls this every poll_ms.
+  void poll_now();
 
   /// Stall batches reported so far (each batch = one callback invocation).
   std::uint64_t stalls_reported() const;
@@ -141,8 +143,6 @@ class JoinWatchdog {
   };
   std::vector<BlockedWait> blocked_now() const;
 
-  const WatchdogConfig& config() const { return cfg_; }
-
  private:
   struct Entry {
     std::uint64_t target;
@@ -152,8 +152,6 @@ class JoinWatchdog {
     bool reported = false;  // each stalled join is reported once
   };
 
-  void poll_loop();
-
   const WatchdogConfig cfg_;
   const core::JoinGate& gate_;
   obs::FlightRecorder* const rec_;  // not owned; nullptr ⇒ recording off
@@ -161,12 +159,9 @@ class JoinWatchdog {
   const RecoverySupervisor* const recovery_;  // not owned; may be nullptr
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::unordered_map<std::uint64_t, Entry> blocked_;  // guarded by mu_
-  bool stop_ = false;                                 // guarded by mu_
   std::uint64_t stalls_reported_ = 0;                 // guarded by mu_
   std::atomic<std::uint64_t> cycles_found_{0};
-  std::thread thread_;
 };
 
 /// RAII bracket for a blocking wait; tolerates a null watchdog (disabled).

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -247,6 +250,56 @@ TEST(FaultInjection, WorkerDeathsAreBoundedAndSurvived) {
   const FaultStats fi = rt.fault_stats();
   EXPECT_GT(fi.worker_deaths, 0u);
   EXPECT_LE(fi.worker_deaths, 5u);
+}
+
+TEST(FaultInjection, DroppedWakeupsAreRedelivered) {
+  // Every Done notification is dropped; only the housekeeper's redelivery
+  // can wake a blocked joiner, so completing the joins proves it runs.
+  Config cfg;
+  cfg.scheduler = SchedulerMode::Blocking;  // the root blocks, never helps
+  cfg.workers = 2;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.dropped_wakeup_period = 1;
+  cfg.fault_plan = plan;
+  Runtime rt(cfg);
+  const long sum = rt.root([] {
+    std::vector<Future<long>> fs;
+    for (int i = 0; i < 16; ++i) {
+      fs.push_back(async([i]() -> long {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return i;
+      }));
+    }
+    long acc = 0;
+    for (auto& f : fs) acc += f.get();
+    return acc;
+  });
+  EXPECT_EQ(sum, 120);
+  EXPECT_GT(rt.fault_stats().dropped_wakeups, 0u);
+}
+
+TEST(FaultInjection, TeardownWithARedeliveryPendingDoesNotHang) {
+  // Redelivery is ten minutes away when the runtime is destroyed: stopping
+  // the housekeeper must deliver it at once, and release the task it holds.
+  Config cfg;
+  cfg.workers = 2;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.dropped_wakeup_period = 1;
+  plan.redelivery_ms = 600'000;
+  cfg.fault_plan = plan;
+  std::weak_ptr<const TaskBase> child;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    Runtime rt(cfg);
+    rt.root([&child] {
+      child = async([] { return 1; }).task().shared_from_this();
+    });  // never joined: nothing waits for the dropped notification
+    EXPECT_GT(rt.fault_stats().dropped_wakeups, 0u);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(60));
+  EXPECT_TRUE(child.expired()) << "a pending redelivery leaked its task";
 }
 
 }  // namespace

@@ -214,6 +214,22 @@ TEST(Governor, GenerousBudgetsNeverDegrade) {
   EXPECT_GE(rt.governor()->polls(), 8u);
 }
 
+TEST(Governor, PollsInTheBackgroundWithoutManualCalls) {
+  Config cfg;
+  cfg.workers = 2;
+  cfg.governor.enabled = true;
+  cfg.governor.poll_ms = 1;
+  Runtime rt(cfg);
+  const std::uint64_t first = rt.governor()->polls();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt.governor()->polls() < first + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(rt.governor()->polls(), first + 3);
+}
+
 // -------------------------------------------------------- deadline joins --
 
 TEST(DeadlineJoin, TimeoutWithdrawsTheJoinAndRetrySucceeds) {

@@ -130,7 +130,12 @@ TEST(TelemetrySinkTest, InertWhenObsOff) {
 TEST(TelemetrySinkTest, FinalSampleReconcilesWithEndOfRunStats) {
   const std::string path = temp_path("telemetry_reconcile.jsonl");
   std::remove(path.c_str());
-  runtime::Runtime rt(observed());
+  runtime::Config cfg = observed();
+  // Spurious rejections, each cleared by the fallback, so the rejection
+  // identity below has non-zero terms.
+  cfg.fault_plan.seed = 3;
+  cfg.fault_plan.join_rejection_period = 2;
+  runtime::Runtime rt(cfg);
   obs::LatencyHistogram svc;
   obs::TelemetryConfig tcfg;
   tcfg.jsonl_path = path;
@@ -169,6 +174,25 @@ TEST(TelemetrySinkTest, FinalSampleReconcilesWithEndOfRunStats) {
             static_cast<double>(gs.joins_checked));
   EXPECT_EQ(last.at_path("gate.policy_rejections")->number(),
             static_cast<double>(gs.policy_rejections));
+  // The rejection identity holds on the stream alone: every field it needs
+  // is exported.
+  core::GateStats streamed;
+  const auto field = [&last](const char* name) {
+    const slo::Json* v = last.at_path(std::string("gate.") + name);
+    EXPECT_NE(v, nullptr) << "missing gate." << name;
+    return v != nullptr ? static_cast<std::uint64_t>(v->number()) : 0;
+  };
+  streamed.policy_rejections = field("policy_rejections");
+  streamed.owp_rejections = field("owp_rejections");
+  streamed.false_positives = field("false_positives");
+  streamed.owp_false_positives = field("owp_false_positives");
+  streamed.deadlocks_averted = field("deadlocks_averted");
+  streamed.deadlocks_averted_approved = field("deadlocks_averted_approved");
+  EXPECT_GT(streamed.policy_rejections, 0u);
+  EXPECT_TRUE(streamed.reconciles());
+  EXPECT_EQ(streamed.owp_false_positives, gs.owp_false_positives);
+  EXPECT_EQ(streamed.deadlocks_averted_approved,
+            gs.deadlocks_averted_approved);
   const obs::LatencyHistogram::Summary sum = svc.summary();
   EXPECT_EQ(last.at_path("hist.svc_latency_ns.count")->number(),
             static_cast<double>(sum.count));

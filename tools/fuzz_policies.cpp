@@ -409,10 +409,7 @@ std::string check_fault_plan(std::uint64_t seed, runtime::SchedulerMode mode,
                   static_cast<unsigned long long>(fi.join_rejections));
     why = buf;
   }
-  if (why.empty() &&
-      s.policy_rejections + s.owp_rejections !=
-          s.false_positives + s.owp_false_positives +
-              (s.deadlocks_averted - s.deadlocks_averted_approved)) {
+  if (why.empty() && !s.reconciles()) {
     std::snprintf(buf, sizeof buf,
                   "unreconciled rejections: %llu+%llu != %llu+%llu+(%llu-%llu)",
                   static_cast<unsigned long long>(s.policy_rejections),

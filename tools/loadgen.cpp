@@ -739,10 +739,7 @@ void run_mode(rtj::SchedulerMode mode, const Options& o, const Expected& exp,
       r.stats.requests_shed == adm_shed && adm_shed == gen_shed_attempts;
 
   // Policy reconciliation + monotone ladder, as in tools/soak.
-  r.reconciled =
-      r.stats.policy_rejections + r.stats.owp_rejections ==
-      r.stats.false_positives + r.stats.owp_false_positives +
-          (r.stats.deadlocks_averted - r.stats.deadlocks_averted_approved);
+  r.reconciled = r.stats.reconciles();
   if (const rtj::ResourceGovernor* gov = rt.governor()) {
     r.final_level = gov->level();
     r.history = gov->history_string();

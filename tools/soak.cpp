@@ -11,9 +11,9 @@
 //                             reference value exactly, even fully degraded
 //   * monotone degradation  — governor transitions only ever step the ladder
 //                             down (GC enablement keeps the level)
-//   * exact reconciliation  — policy_rejections + owp_rejections ==
-//                             false_positives + owp_false_positives +
-//                             deadlocks_averted
+//   * exact reconciliation  — every rejection was cleared by the fallback
+//                             or averted a real deadlock
+//                             (core::GateStats::reconciles)
 //   * bounded RSS           — peak resident set under --max-rss-mb
 //
 //   ./build/tools/soak --seconds=60 --fault-seed=7
@@ -297,13 +297,7 @@ ModeResult run_mode(rtj::SchedulerMode mode, const Options& o,
     r.ladder_floor = lad->level_count() - 1;
   }
   r.stats = rt.gate_stats();
-  // Exact reconciliation: every rejection was either cleared by the
-  // fallback or a genuinely averted deadlock; cycles caught on approved
-  // edges (deadlocks_averted_approved) involve no rejection.
-  r.reconciled =
-      r.stats.policy_rejections + r.stats.owp_rejections ==
-      r.stats.false_positives + r.stats.owp_false_positives +
-          (r.stats.deadlocks_averted - r.stats.deadlocks_averted_approved);
+  r.reconciled = r.stats.reconciles();
   return r;
 }
 
