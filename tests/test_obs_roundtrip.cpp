@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/app_registry.hpp"
@@ -43,7 +43,17 @@ void expect_reparses_identically(const trace::Trace& t) {
   }
 }
 
-using AppCase = std::tuple<const char*, runtime::SchedulerMode>;
+struct AppCase {
+  const char* app;
+  runtime::SchedulerMode mode;
+};
+
+// gtest's default printer shows a const char* as its address, which moves
+// from run to run under ASLR and would leak into the test names that ctest
+// discovers from --gtest_list_tests.
+void PrintTo(const AppCase& c, std::ostream* os) {
+  *os << "(\"" << c.app << "\", " << runtime::to_string(c.mode) << ")";
+}
 
 class ObsRoundTrip : public ::testing::TestWithParam<AppCase> {};
 
@@ -97,18 +107,25 @@ TEST_P(ObsRoundTrip, LiveVerdictsAgreeWithOfflineJudgments) {
 }
 
 std::string case_name(const ::testing::TestParamInfo<AppCase>& info) {
-  return std::string(std::get<0>(info.param)) + "_" +
-         std::string(runtime::to_string(std::get<1>(info.param)));
+  return std::string(info.param.app) + "_" +
+         std::string(runtime::to_string(info.param.mode));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SixApps, ObsRoundTrip,
-    ::testing::Combine(
-        ::testing::Values("jacobi", "smithwaterman", "crypt", "strassen",
-                          "series", "nqueens"),
-        ::testing::Values(runtime::SchedulerMode::Cooperative,
-                          runtime::SchedulerMode::Blocking)),
-    case_name);
+std::vector<AppCase> six_apps_both_modes() {
+  std::vector<AppCase> cases;
+  for (const char* app : {"jacobi", "smithwaterman", "crypt", "strassen",
+                          "series", "nqueens"}) {
+    for (runtime::SchedulerMode mode : {runtime::SchedulerMode::Cooperative,
+                                        runtime::SchedulerMode::Blocking}) {
+      cases.push_back({app, mode});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(SixApps, ObsRoundTrip,
+                         ::testing::ValuesIn(six_apps_both_modes()),
+                         case_name);
 
 // Promise actions round-trip too: a deterministic dataflow run records
 // make/transfer/fulfill/await, bridges them into the extended notation, and
