@@ -134,8 +134,13 @@ if [[ "$LOADGEN" == "1" ]] && [[ " $PRESETS " == *" release "* ]]; then
   # the declarative SLO gate armed. loadgen itself exits nonzero unless the
   # final telemetry sample reconciles exactly with its end-of-run stats and
   # every SLO rule holds (generous bounds — this gates wiring, not perf);
-  # afterwards the JSONL stream is schema-validated line by line and the
-  # dashboard must render it.
+  # afterwards the JSONL stream is schema-validated line by line, each
+  # scheduler's final (post-quiesce) sample must satisfy the rejection
+  # identity exactly, every gate field and registry counter must be a
+  # tj_<name> series in the Prometheus dump, and the dashboard must render
+  # the stream. Mid-run samples are relaxed per-field reads, so a ruling in
+  # flight can leave the rejection identity off by one there; only the
+  # final samples are held to it.
   echo "== [telemetry] continuous export + SLO gate + dashboard render"
   tel_jsonl="$(mktemp /tmp/tj-telemetry-XXXXXX.jsonl)"
   tel_prom="$(mktemp /tmp/tj-telemetry-XXXXXX.prom)"
@@ -144,7 +149,7 @@ if [[ "$LOADGEN" == "1" ]] && [[ " $PRESETS " == *" release "* ]]; then
       --fault-seed=7 --hostile \
       --telemetry="$tel_jsonl" --prom="$tel_prom" \
       --slo='p99_ms<60000,shed_rate<=0.95,downgrade_level<=3,watchdog_cycles==0'
-  python3 - "$tel_jsonl" <<'EOF'
+  python3 - "$tel_jsonl" "$tel_prom" <<'EOF'
 import json, sys
 required = ["t_ms", "seq", "scheduler", "configured_policy", "active_policy",
             "ladder_level", "gate", "counters", "obs", "governor", "tenants",
@@ -152,6 +157,7 @@ required = ["t_ms", "seq", "scheduler", "configured_policy", "active_policy",
 gate_keys = ["joins_checked", "requests_checked", "requests_admitted",
              "requests_shed"]
 n = 0
+final = {}
 for line in open(sys.argv[1]):
     if not line.strip():
         continue
@@ -162,12 +168,22 @@ for line in open(sys.argv[1]):
         assert k in s["gate"], f"sample {n}: missing gate.{k}"
     assert s["gate"]["requests_checked"] == (
         s["gate"]["requests_admitted"] + s["gate"]["requests_shed"]), n
+    final[s["scheduler"]] = (n, s)
     n += 1
 assert n >= 2, "telemetry stream too short"
-print(f"telemetry schema OK ({n} samples)")
+# core::GateStats::reconciles() on each scheduler's final sample.
+for sched, (i, s) in final.items():
+    g = s["gate"]
+    assert g["policy_rejections"] + g["owp_rejections"] == (
+        g["false_positives"] + g["owp_false_positives"] +
+        g["deadlocks_averted"] - g["deadlocks_averted_approved"]), (sched, i)
+series = {l.split()[0] for l in open(sys.argv[2])
+          if l.strip() and not l.startswith("#")}
+for k in list(s["gate"]) + list(s["counters"]):
+    assert f"tj_{k}" in series, f"Prometheus dump missing tj_{k}"
+print(f"telemetry schema OK ({n} samples, {len(final)} reconciled finals)")
 EOF
   ./build/tools/tj_top --once --no-color "$tel_jsonl" >/dev/null
-  grep -q '^tj_joins_checked ' "$tel_prom"
   echo "== [telemetry] JSONL schema, dashboard render, Prometheus dump OK"
 
   # Async-mode acceptance: the same open-loop service run under optimistic

@@ -1,5 +1,6 @@
 #include "core/guarded.hpp"
 
+#include <sstream>
 #include <utility>
 
 namespace tj::core {
@@ -497,25 +498,23 @@ void JoinGate::note_cycle_recovered(Witness w) {
 
 GateStats JoinGate::stats() const {
   GateStats s;
-  s.joins_checked = joins_checked_.load(std::memory_order_relaxed);
-  s.policy_rejections = policy_rejections_.load(std::memory_order_relaxed);
-  s.false_positives = false_positives_.load(std::memory_order_relaxed);
-  s.deadlocks_averted = deadlocks_averted_.load(std::memory_order_relaxed);
-  s.deadlocks_averted_approved =
-      deadlocks_averted_approved_.load(std::memory_order_relaxed);
-  s.cycle_checks = wfg_.cycle_checks();
-  s.awaits_checked = awaits_checked_.load(std::memory_order_relaxed);
-  s.owp_rejections = owp_rejections_.load(std::memory_order_relaxed);
-  s.owp_false_positives =
-      owp_false_positives_.load(std::memory_order_relaxed);
-  s.ownership_violations =
-      ownership_violations_.load(std::memory_order_relaxed);
-  s.promises_orphaned = promises_orphaned_.load(std::memory_order_relaxed);
-  s.requests_checked = requests_checked_.load(std::memory_order_relaxed);
-  s.requests_admitted = requests_admitted_.load(std::memory_order_relaxed);
-  s.requests_shed = requests_shed_.load(std::memory_order_relaxed);
-  s.cycles_recovered = cycles_recovered_.load(std::memory_order_relaxed);
+#define TJ_GATE_LOAD(name, help) \
+  s.name = name##_.load(std::memory_order_relaxed);
+#define TJ_WFG_LOAD(name, help) s.name = wfg_.name();
+  TJ_GATE_STATS(TJ_GATE_LOAD, TJ_WFG_LOAD)
+#undef TJ_GATE_LOAD
+#undef TJ_WFG_LOAD
   return s;
+}
+
+std::string to_string(const GateStats& s) {
+  std::ostringstream os;
+  const char* sep = "";
+  for_each_field(s, [&](const char* name, std::uint64_t v, const char*) {
+    os << sep << name << '=' << v;
+    sep = " ";
+  });
+  return os.str();
 }
 
 }  // namespace tj::core

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/owp.hpp"
@@ -42,36 +44,51 @@ enum class FaultMode : std::uint8_t {
   Throw,     ///< fault immediately on any policy rejection (policy-only mode)
 };
 
-/// Counters mirrored from the evaluation's discussion.
+/// The gate's counter table: one X(name, help) entry per GateStats field,
+/// in declaration order. The GateStats fields, the JoinGate atomics,
+/// operator+=/-=, JoinGate::stats() and for_each_field() all expand it, and
+/// every exporter walks for_each_field(), so a counter is named only here.
+/// W marks cycle_checks, which the waits-for graph counts itself: it is a
+/// GateStats field but not a gate atomic.
+///
+/// The ledgers these counters keep exact:
+///  - rejections (reconciles()): every policy/OWP rejection was cleared by
+///    the fallback or was a genuinely averted deadlock. deadlocks_averted
+///    also counts cycles caught on an edge the policy/OWP had APPROVED (an
+///    allowed wait closed the cycle, or a transfer's retarget would have);
+///    deadlocks_averted_approved is that share.
+///  - admission (zero unless per-tenant budgets are wired, see
+///    runtime/admission.hpp): requests_checked == requests_admitted +
+///    requests_shed.
+///  - async recovery: cycles_recovered counts cycles the background detector
+///    confirmed against this gate's WFG and broke by killing a victim —
+///    deadlocks that formed BECAUSE the optimistic mode approved without
+///    checking. Disjoint from deadlocks_averted (synchronous pre-block
+///    faults), so deadlock_incidents == deadlocks_averted + cycles_recovered,
+///    and the rejection identity is untouched: it rejects nothing.
+#define TJ_GATE_STATS(X, W)                                                  \
+  X(joins_checked, "gate join verdicts")                                     \
+  X(policy_rejections, "joins the policy flagged")                           \
+  X(false_positives, "policy rejections the WFG fallback cleared")           \
+  X(deadlocks_averted, "joins and awaits faulted on a real cycle")           \
+  X(deadlocks_averted_approved,                                              \
+    "averted deadlocks closed by a policy-approved edge")                    \
+  W(cycle_checks, "WFG fallback scans")                                      \
+  X(awaits_checked, "gate await verdicts")                                   \
+  X(owp_rejections, "awaits and joins the ownership policy flagged")         \
+  X(owp_false_positives, "ownership rejections the WFG fallback cleared")    \
+  X(ownership_violations, "non-owner fulfill or transfer attempts")          \
+  X(promises_orphaned, "promises orphaned by their owner's exit")           \
+  X(requests_checked, "admission verdicts")                                  \
+  X(requests_admitted, "requests admitted")                                  \
+  X(requests_shed, "requests shed")                                          \
+  X(cycles_recovered, "async-mode deadlock cycles broken by recovery")
+
+/// Counters mirrored from the evaluation's discussion (see TJ_GATE_STATS).
 struct GateStats {
-  std::uint64_t joins_checked = 0;
-  std::uint64_t policy_rejections = 0;
-  std::uint64_t false_positives = 0;    ///< rejections cleared by the fallback
-  std::uint64_t deadlocks_averted = 0;  ///< joins faulted on a real cycle
-  /// Of deadlocks_averted: cycles caught on an edge the policy/OWP had
-  /// APPROVED (no rejection involved — an allowed wait closed the cycle, or
-  /// a transfer's retarget would have); see reconciles().
-  std::uint64_t deadlocks_averted_approved = 0;
-  std::uint64_t cycle_checks = 0;       ///< WFG cycle detections performed
-  // Promise / ownership-policy counters (zero unless promises are in play).
-  std::uint64_t awaits_checked = 0;
-  std::uint64_t owp_rejections = 0;       ///< OWP flagged an await or join
-  std::uint64_t owp_false_positives = 0;  ///< ...that the fallback cleared
-  std::uint64_t ownership_violations = 0;  ///< non-owner fulfill/transfer tries
-  std::uint64_t promises_orphaned = 0;  ///< owner died holding them unfulfilled
-  // Admission-control counters (zero unless per-tenant budgets are wired —
-  // see runtime/admission.hpp). The front-door invariant is exact:
-  // requests_checked == requests_admitted + requests_shed.
-  std::uint64_t requests_checked = 0;   ///< admission verdicts issued
-  std::uint64_t requests_admitted = 0;  ///< ...that let the request in
-  std::uint64_t requests_shed = 0;      ///< ...shed at the front door
-  /// Async-mode recoveries: cycles the background detector confirmed against
-  /// this gate's WFG and broke by killing a victim — deadlocks that formed
-  /// BECAUSE the optimistic mode approved without checking. Disjoint from
-  /// deadlocks_averted (synchronous pre-block faults), so the async ledger is
-  /// deadlock_incidents == deadlocks_averted + cycles_recovered, and the
-  /// rejection identity (reconciles()) is untouched: it rejects nothing.
-  std::uint64_t cycles_recovered = 0;
+#define TJ_GATE_FIELD(name, help) std::uint64_t name = 0;
+  TJ_GATE_STATS(TJ_GATE_FIELD, TJ_GATE_FIELD)
+#undef TJ_GATE_FIELD
 
   /// The exact rejection identity: every rejection was either cleared by
   /// the fallback or a genuinely averted deadlock.
@@ -82,27 +99,33 @@ struct GateStats {
   }
 };
 
-/// Field-complete accumulation — the single shared definition of "add these
-/// stats up" (harness aggregation across reps, test assertions). Any new
-/// GateStats field must be added here too.
+/// Visits f(name, value, help) for every GateStats field in table order;
+/// `value` is a reference into `s`, so a non-const `s` can be filled.
+template <typename Stats, typename F>
+  requires std::is_same_v<std::remove_const_t<Stats>, GateStats>
+void for_each_field(Stats& s, F&& f) {
+#define TJ_GATE_VISIT(name, help) f(#name, s.name, help);
+  TJ_GATE_STATS(TJ_GATE_VISIT, TJ_GATE_VISIT)
+#undef TJ_GATE_VISIT
+}
+
+/// Field-complete accumulation (harness aggregation across reps, test
+/// assertions) and difference (telemetry's per-tick deltas).
 inline GateStats& operator+=(GateStats& acc, const GateStats& s) {
-  acc.joins_checked += s.joins_checked;
-  acc.policy_rejections += s.policy_rejections;
-  acc.false_positives += s.false_positives;
-  acc.deadlocks_averted += s.deadlocks_averted;
-  acc.deadlocks_averted_approved += s.deadlocks_averted_approved;
-  acc.cycle_checks += s.cycle_checks;
-  acc.awaits_checked += s.awaits_checked;
-  acc.owp_rejections += s.owp_rejections;
-  acc.owp_false_positives += s.owp_false_positives;
-  acc.ownership_violations += s.ownership_violations;
-  acc.promises_orphaned += s.promises_orphaned;
-  acc.requests_checked += s.requests_checked;
-  acc.requests_admitted += s.requests_admitted;
-  acc.requests_shed += s.requests_shed;
-  acc.cycles_recovered += s.cycles_recovered;
+#define TJ_GATE_ADD(name, help) acc.name += s.name;
+  TJ_GATE_STATS(TJ_GATE_ADD, TJ_GATE_ADD)
+#undef TJ_GATE_ADD
   return acc;
 }
+inline GateStats& operator-=(GateStats& acc, const GateStats& s) {
+#define TJ_GATE_SUB(name, help) acc.name -= s.name;
+  TJ_GATE_STATS(TJ_GATE_SUB, TJ_GATE_SUB)
+#undef TJ_GATE_SUB
+  return acc;
+}
+
+/// "name=value" for every field, space-separated (diagnostics, snapshots).
+std::string to_string(const GateStats& s);
 
 /// Gate ruling on a fulfill attempt.
 enum class FulfillDecision : std::uint8_t {
@@ -299,20 +322,12 @@ class JoinGate {
   // this serialization as the scaling ceiling, so its contention is a
   // first-class measurement ("gate.await" in the contention registry).
   obs::ProfiledMutex await_mu_{"gate.await"};
-  std::atomic<std::uint64_t> joins_checked_{0};
-  std::atomic<std::uint64_t> policy_rejections_{0};
-  std::atomic<std::uint64_t> false_positives_{0};
-  std::atomic<std::uint64_t> deadlocks_averted_{0};
-  std::atomic<std::uint64_t> deadlocks_averted_approved_{0};
-  std::atomic<std::uint64_t> awaits_checked_{0};
-  std::atomic<std::uint64_t> owp_rejections_{0};
-  std::atomic<std::uint64_t> owp_false_positives_{0};
-  std::atomic<std::uint64_t> ownership_violations_{0};
-  std::atomic<std::uint64_t> promises_orphaned_{0};
-  std::atomic<std::uint64_t> requests_checked_{0};
-  std::atomic<std::uint64_t> requests_admitted_{0};
-  std::atomic<std::uint64_t> requests_shed_{0};
-  std::atomic<std::uint64_t> cycles_recovered_{0};
+  // One relaxed atomic per gate-owned counter, in table order.
+#define TJ_GATE_ATOMIC(name, help) std::atomic<std::uint64_t> name##_{0};
+#define TJ_GATE_NOT_OWNED(name, help)
+  TJ_GATE_STATS(TJ_GATE_ATOMIC, TJ_GATE_NOT_OWNED)
+#undef TJ_GATE_ATOMIC
+#undef TJ_GATE_NOT_OWNED
 
   static constexpr std::size_t kWitnessLogCap = 256;
   mutable obs::ProfiledMutex witness_mu_{"gate.witness"};

@@ -64,7 +64,7 @@ enum class EventKind : std::uint8_t {
   AdmissionShed,    ///< a request was shed at the front door (actor: tenant
                     ///< index; detail: AdmissionCause; payload: tenant
                     ///< in-flight count at the decision). Admits are counted
-                    ///< (metrics requests_admitted) but not per-event
+                    ///< (gate requests_admitted) but not per-event
                     ///< recorded — they are the service's common case.
 
   // --- async detection / bounded-latency recovery ---

@@ -49,32 +49,31 @@ std::string LatencyHistogram::to_string() const {
   return os.str();
 }
 
+std::string to_string(const Counters& c) {
+  std::ostringstream os;
+  const char* sep = "";
+  for_each_counter(c, [&](const char* name, std::uint64_t v, const char*) {
+    os << sep << name << '=' << v;
+    sep = " ";
+  });
+  return os.str();
+}
+
+Counters Metrics::counters() const {
+  Counters c;
+#define TJ_COUNTER_LOAD(name, help) \
+  c.name = name.load(std::memory_order_relaxed);
+  TJ_METRICS_COUNTERS(TJ_COUNTER_LOAD)
+#undef TJ_COUNTER_LOAD
+  return c;
+}
+
 std::string Metrics::to_string() const {
   std::ostringstream os;
   for_each_histogram([&os](const char* name, const LatencyHistogram& h) {
     os << "  " << name << ": " << h.to_string() << "\n";
   });
-  os << "  faults_injected=" << faults_injected.load(std::memory_order_relaxed)
-     << " compensation_spawns="
-     << compensation_spawns.load(std::memory_order_relaxed)
-     << " stall_reports=" << stall_reports.load(std::memory_order_relaxed)
-     << "\n";
-  os << "  policy_downgrades="
-     << policy_downgrades.load(std::memory_order_relaxed)
-     << " spawn_inlines=" << spawn_inlines.load(std::memory_order_relaxed)
-     << " join_timeouts=" << join_timeouts.load(std::memory_order_relaxed)
-     << " kj_compactions=" << kj_compactions.load(std::memory_order_relaxed)
-     << "\n";
-  os << "  requests_admitted="
-     << requests_admitted.load(std::memory_order_relaxed)
-     << " requests_shed=" << requests_shed.load(std::memory_order_relaxed)
-     << "\n";
-  os << "  cycles_recovered="
-     << cycles_recovered.load(std::memory_order_relaxed)
-     << " detector_failovers="
-     << detector_failovers.load(std::memory_order_relaxed)
-     << " detector_respawns="
-     << detector_respawns.load(std::memory_order_relaxed) << "\n";
+  os << "  " << obs::to_string(counters()) << "\n";
   return os.str();
 }
 

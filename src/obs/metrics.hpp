@@ -107,6 +107,41 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
+/// The recorder's counter table: one X(name, help) entry per counter, in
+/// declaration order. The Metrics atomics, the Counters copy,
+/// Metrics::counters() and for_each_counter() all expand it, and every
+/// exporter walks for_each_counter(), so a counter is named only here.
+/// Counts the gate already keeps (admissions, sheds, recoveries) live in
+/// core::GateStats, not here.
+#define TJ_METRICS_COUNTERS(X)                                            \
+  X(faults_injected, "chaos faults fired")                                \
+  X(compensation_spawns, "compensating workers spawned for blocked joins") \
+  X(stall_reports, "watchdog stall reports")                              \
+  X(policy_downgrades, "degradation ladder steps")                        \
+  X(spawn_inlines, "spawns run inline under backpressure")                \
+  X(join_timeouts, "join_for deadline expirations")                       \
+  X(kj_compactions, "KJ-VC clock compactions")                            \
+  X(detector_failovers, "async detector budget failovers")                \
+  X(detector_respawns, "async detector thread revivals")
+
+/// A plain copy of the registry's counters (Metrics::counters()).
+struct Counters {
+#define TJ_COUNTER_FIELD(name, help) std::uint64_t name = 0;
+  TJ_METRICS_COUNTERS(TJ_COUNTER_FIELD)
+#undef TJ_COUNTER_FIELD
+};
+
+/// Visits f(name, value, help) for every counter in table order.
+template <typename F>
+void for_each_counter(const Counters& c, F&& f) {
+#define TJ_COUNTER_VISIT(name, help) f(#name, c.name, help);
+  TJ_METRICS_COUNTERS(TJ_COUNTER_VISIT)
+#undef TJ_COUNTER_VISIT
+}
+
+/// "name=value" for every counter, space-separated.
+std::string to_string(const Counters& c);
+
 /// The recorder's fixed metric set. Histograms are updated by the gate and
 /// runtime only while recording is enabled; counters mirror incident events
 /// so they can be read without draining the event stream.
@@ -120,22 +155,9 @@ struct Metrics {
   /// recovery SLO (recovery_p99_ms) gates on. Empty outside Async mode.
   LatencyHistogram recovery_ns;
 
-  std::atomic<std::uint64_t> faults_injected{0};
-  std::atomic<std::uint64_t> compensation_spawns{0};
-  std::atomic<std::uint64_t> stall_reports{0};
-  // Resource-governance counters (zero unless the governor is enabled).
-  std::atomic<std::uint64_t> policy_downgrades{0};  ///< ladder steps taken
-  std::atomic<std::uint64_t> spawn_inlines{0};      ///< backpressure inlines
-  std::atomic<std::uint64_t> join_timeouts{0};      ///< join_for expirations
-  std::atomic<std::uint64_t> kj_compactions{0};     ///< KJ-VC clock compactions
-  // Per-tenant admission control (zero unless GovernorConfig::tenants is
-  // set); mirrors the gate's requests_admitted/requests_shed stats.
-  std::atomic<std::uint64_t> requests_admitted{0};  ///< front-door admits
-  std::atomic<std::uint64_t> requests_shed{0};      ///< front-door sheds
-  // Async-detection counters (zero outside PolicyChoice::Async).
-  std::atomic<std::uint64_t> cycles_recovered{0};   ///< cycles broken
-  std::atomic<std::uint64_t> detector_failovers{0}; ///< optimistic→sync trips
-  std::atomic<std::uint64_t> detector_respawns{0};  ///< detector-thread revivals
+#define TJ_COUNTER_ATOMIC(name, help) std::atomic<std::uint64_t> name{0};
+  TJ_METRICS_COUNTERS(TJ_COUNTER_ATOMIC)
+#undef TJ_COUNTER_ATOMIC
 
   /// Visits (name, histogram) for each histogram in the registry.
   template <typename F>
@@ -146,6 +168,9 @@ struct Metrics {
     f("cycle_scan_ns", cycle_scan_ns);
     f("recovery_ns", recovery_ns);
   }
+
+  /// Relaxed reads of every counter.
+  Counters counters() const;
 
   std::string to_string() const;
 };

@@ -39,6 +39,17 @@ std::string jesc(std::string_view s) {
   return out;
 }
 
+/// Writes comma-separated "name":value pairs, one per call — the sink for
+/// the gate's for_each_field() and the metrics' for_each_counter().
+struct JsonFields {
+  std::ostringstream& os;
+  const char* sep = "";
+  void operator()(const char* name, std::uint64_t v, const char*) {
+    os << sep << '"' << name << "\":" << v;
+    sep = ",";
+  }
+};
+
 void write_summary(std::ostringstream& os, const LatencyHistogram& h) {
   const LatencyHistogram::Summary s = h.summary();
   os << "{\"count\":" << s.count << ",\"sum_ns\":" << s.sum_ns
@@ -132,22 +143,9 @@ void TelemetrySink::sample_locked() {
      << ",\"watchdog_stalls\":" << s.watchdog_stalls
      << ",\"watchdog_cycles\":" << s.watchdog_cycles;
 
-  os << ",\"gate\":{\"joins_checked\":" << s.gate.joins_checked
-     << ",\"policy_rejections\":" << s.gate.policy_rejections
-     << ",\"false_positives\":" << s.gate.false_positives
-     << ",\"deadlocks_averted\":" << s.gate.deadlocks_averted
-     << ",\"deadlocks_averted_approved\":"
-     << s.gate.deadlocks_averted_approved
-     << ",\"cycle_checks\":" << s.gate.cycle_checks
-     << ",\"awaits_checked\":" << s.gate.awaits_checked
-     << ",\"owp_rejections\":" << s.gate.owp_rejections
-     << ",\"owp_false_positives\":" << s.gate.owp_false_positives
-     << ",\"ownership_violations\":" << s.gate.ownership_violations
-     << ",\"promises_orphaned\":" << s.gate.promises_orphaned
-     << ",\"requests_checked\":" << s.gate.requests_checked
-     << ",\"requests_admitted\":" << s.gate.requests_admitted
-     << ",\"requests_shed\":" << s.gate.requests_shed
-     << ",\"cycles_recovered\":" << s.gate.cycles_recovered << "}";
+  os << ",\"gate\":{";
+  core::for_each_field(s.gate, JsonFields{os});
+  os << "}";
 
   if (s.recovery_attached) {
     os << ",\"detector\":{\"running\":"
@@ -165,24 +163,9 @@ void TelemetrySink::sample_locked() {
        << ",\"waits_registered\":" << s.recovery.waits_registered << "}";
   }
 
-  os << ",\"counters\":{\"faults_injected\":"
-     << m.faults_injected.load(std::memory_order_relaxed)
-     << ",\"compensation_spawns\":"
-     << m.compensation_spawns.load(std::memory_order_relaxed)
-     << ",\"stall_reports\":"
-     << m.stall_reports.load(std::memory_order_relaxed)
-     << ",\"policy_downgrades\":"
-     << m.policy_downgrades.load(std::memory_order_relaxed)
-     << ",\"spawn_inlines\":"
-     << m.spawn_inlines.load(std::memory_order_relaxed)
-     << ",\"join_timeouts\":"
-     << m.join_timeouts.load(std::memory_order_relaxed)
-     << ",\"kj_compactions\":"
-     << m.kj_compactions.load(std::memory_order_relaxed)
-     << ",\"requests_admitted\":"
-     << m.requests_admitted.load(std::memory_order_relaxed)
-     << ",\"requests_shed\":"
-     << m.requests_shed.load(std::memory_order_relaxed) << "}";
+  os << ",\"counters\":{";
+  for_each_counter(s.counters, JsonFields{os});
+  os << "}";
 
   os << ",\"obs\":{\"events\":" << s.obs_events
      << ",\"dropped\":" << s.obs_dropped << "}";
@@ -268,16 +251,15 @@ void TelemetrySink::sample_locked() {
   for (const ExtraHist& e : extra_) one(e.name.c_str(), *e.hist);
   os << "}";
 
-  os << ",\"delta\":{" << deltas.str()
-     << ",\"joins_checked\":" << (s.gate.joins_checked - prev_joins_checked_)
-     << ",\"requests_checked\":"
-     << (s.gate.requests_checked - prev_requests_checked_)
-     << ",\"lock_acquisitions\":"
+  core::GateStats gate_delta = s.gate;
+  gate_delta -= prev_gate_;
+  prev_gate_ = s.gate;
+  os << ",\"delta\":{" << deltas.str();
+  core::for_each_field(gate_delta, JsonFields{os, ","});
+  os << ",\"lock_acquisitions\":"
      << (lock_acquisitions - prev_lock_acquisitions_)
      << ",\"lock_contended\":" << (lock_contended - prev_lock_contended_)
      << "}}";
-  prev_joins_checked_ = s.gate.joins_checked;
-  prev_requests_checked_ = s.gate.requests_checked;
   prev_lock_acquisitions_ = lock_acquisitions;
   prev_lock_contended_ = lock_contended;
 
@@ -315,53 +297,32 @@ std::string TelemetrySink::render_prometheus(
     const runtime::RuntimeSnapshot& s) {
   const Metrics& m = rt_.recorder()->metrics();
   std::ostringstream os;
+  // Every series is tj_<name>; gate and registry counters come straight
+  // from their tables.
   const auto counter = [&os](const char* name, std::uint64_t v,
                              const char* help) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name
-       << " counter\n"
-       << name << ' ' << v << "\n";
+    os << "# HELP tj_" << name << ' ' << help << "\n# TYPE tj_" << name
+       << " counter\ntj_" << name << ' ' << v << "\n";
   };
   const auto gauge = [&os](const char* name, std::uint64_t v,
                            const char* help) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name
-       << " gauge\n"
-       << name << ' ' << v << "\n";
+    os << "# HELP tj_" << name << ' ' << help << "\n# TYPE tj_" << name
+       << " gauge\ntj_" << name << ' ' << v << "\n";
   };
-  counter("tj_joins_checked", s.gate.joins_checked, "gate join verdicts");
-  counter("tj_policy_rejections", s.gate.policy_rejections,
-          "joins the policy flagged");
-  counter("tj_deadlocks_averted", s.gate.deadlocks_averted,
-          "joins faulted on a real cycle");
-  counter("tj_cycle_checks", s.gate.cycle_checks, "WFG fallback scans");
-  counter("tj_awaits_checked", s.gate.awaits_checked, "gate await verdicts");
-  counter("tj_requests_checked", s.gate.requests_checked,
-          "admission verdicts");
-  counter("tj_requests_admitted", s.gate.requests_admitted,
-          "requests admitted");
-  counter("tj_requests_shed", s.gate.requests_shed, "requests shed");
-  counter("tj_cycles_recovered", s.gate.cycles_recovered,
-          "async-mode deadlock cycles broken by recovery");
+  core::for_each_field(s.gate, counter);
+  for_each_counter(s.counters, counter);
   if (s.recovery_attached) {
-    gauge("tj_detector_lag_events", s.recovery.detector.lag_events,
+    gauge("detector_lag_events", s.recovery.detector.lag_events,
           "async detector consumption backlog");
-    counter("tj_detector_failovers",
-            m.detector_failovers.load(std::memory_order_relaxed),
-            "async detector budget failovers");
   }
-  counter("tj_watchdog_stalls", s.watchdog_stalls, "stall batches reported");
-  counter("tj_watchdog_cycles", s.watchdog_cycles,
+  counter("watchdog_stalls", s.watchdog_stalls, "stall batches reported");
+  counter("watchdog_cycles", s.watchdog_cycles,
           "cycles found by stall scans");
-  counter("tj_faults_injected",
-          m.faults_injected.load(std::memory_order_relaxed),
-          "chaos faults fired");
-  counter("tj_policy_downgrades",
-          m.policy_downgrades.load(std::memory_order_relaxed),
-          "degradation ladder steps");
-  counter("tj_obs_events", s.obs_events, "flight-recorder events buffered");
-  counter("tj_obs_dropped", s.obs_dropped, "flight-recorder events dropped");
-  gauge("tj_live_tasks", s.live_tasks, "tasks submitted and not terminated");
-  gauge("tj_ladder_level", s.ladder_level, "active degradation level");
-  gauge("tj_governor_pressure", s.governor_pressure ? 1 : 0,
+  counter("obs_events", s.obs_events, "flight-recorder events buffered");
+  counter("obs_dropped", s.obs_dropped, "flight-recorder events dropped");
+  gauge("live_tasks", s.live_tasks, "tasks submitted and not terminated");
+  gauge("ladder_level", s.ladder_level, "active degradation level");
+  gauge("governor_pressure", s.governor_pressure ? 1 : 0,
         "governor over budget now");
 
   // Contention observatory: per-site lock counters + wait quantiles, and
@@ -393,7 +354,7 @@ std::string TelemetrySink::render_prometheus(
          << site.hold.count << "\n";
     }
   }
-  gauge("tj_workers", s.workers.workers, "scheduler worker threads");
+  gauge("workers", s.workers.workers, "scheduler worker threads");
   os << "# HELP tj_worker_state_now workers currently in each state\n"
      << "# TYPE tj_worker_state_now gauge\n";
   for (std::size_t i = 0; i < kWorkerStateCount; ++i) {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/guarded.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/housekeeper.hpp"
 
@@ -112,8 +113,7 @@ class TelemetrySink {
   std::mutex mu_;  // guards jsonl_, delta state, and sampling itself
   std::ofstream jsonl_;
   std::vector<DeltaState> hist_prev_;  // registry hists then extra_, in order
-  std::uint64_t prev_joins_checked_ = 0;
-  std::uint64_t prev_requests_checked_ = 0;
+  core::GateStats prev_gate_;
   std::uint64_t prev_lock_acquisitions_ = 0;
   std::uint64_t prev_lock_contended_ = 0;
   std::chrono::steady_clock::time_point epoch_{};

@@ -87,18 +87,13 @@ AdmissionController::Verdict AdmissionController::try_admit(
   // invariant requests_checked == requests_admitted + requests_shed lives
   // with the join/await reconciliation counters.
   gate_.note_admission(v.admitted);
-  if (rec_ != nullptr) {
-    auto& m = rec_->metrics();
-    (v.admitted ? m.requests_admitted : m.requests_shed)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!v.admitted) {
-      obs::Event e;
-      e.kind = obs::EventKind::AdmissionShed;
-      e.actor = tenant;
-      e.detail = static_cast<std::uint8_t>(v.cause);
-      e.payload = in_flight_now;
-      rec_->emit(e);
-    }
+  if (rec_ != nullptr && !v.admitted) {
+    obs::Event e;
+    e.kind = obs::EventKind::AdmissionShed;
+    e.actor = tenant;
+    e.detail = static_cast<std::uint8_t>(v.cause);
+    e.payload = in_flight_now;
+    rec_->emit(e);
   }
   return v;
 }

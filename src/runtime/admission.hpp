@@ -27,9 +27,9 @@
 //   requests_checked == requests_admitted + requests_shed   (exactly),
 // and within the controller, per tenant,
 //   admitted == released + in_flight                        (exactly).
-// A shed emits an obs AdmissionShed event and bumps the requests_shed
-// metrics counter; admits are counted but not per-event recorded (they are
-// the common case and would swamp the ring at service rates).
+// A shed emits an obs AdmissionShed event; admits are counted (by the gate)
+// but not per-event recorded (they are the common case and would swamp the
+// ring at service rates).
 
 #include <chrono>
 #include <cstdint>
@@ -102,8 +102,7 @@ class AdmissionController {
 
   /// `gate` receives every verdict (requests_* stats); `live_tasks` /
   /// `verifier_bytes` supply the shared-pressure signals; `rec` (nullable)
-  /// receives AdmissionShed events and the requests_admitted/requests_shed
-  /// counters.
+  /// receives AdmissionShed events.
   AdmissionController(std::vector<TenantBudget> tenants, core::JoinGate& gate,
                       std::function<std::size_t()> live_tasks,
                       std::function<std::size_t()> verifier_bytes,

@@ -72,6 +72,7 @@ RuntimeSnapshot snapshot(const Runtime& rt) {
     s.recorder_attached = true;
     s.obs_events = rec->events_recorded();
     s.obs_dropped = rec->events_dropped();
+    s.counters = rec->metrics().counters();
   }
 
   s.contention_enabled = obs::contention_profiling_enabled();
@@ -120,18 +121,7 @@ std::string RuntimeSnapshot::to_string() const {
   os << "tasks=" << tasks_created << " promises=" << promises_made
      << " live=" << live_tasks << " verifier_bytes=" << verifier_bytes
      << " owp_bytes=" << owp_bytes << "\n";
-  os << "gate: joins=" << gate.joins_checked
-     << " rejections=" << gate.policy_rejections
-     << " false_positives=" << gate.false_positives
-     << " deadlocks_averted=" << gate.deadlocks_averted
-     << " cycle_checks=" << gate.cycle_checks
-     << " awaits=" << gate.awaits_checked
-     << " owp_rejections=" << gate.owp_rejections << "\n";
-  if (gate.requests_checked != 0) {
-    os << "admission (gate): checked=" << gate.requests_checked
-       << " admitted=" << gate.requests_admitted
-       << " shed=" << gate.requests_shed << "\n";
-  }
+  os << "gate: " << core::to_string(gate) << "\n";
   if (governor_attached) {
     os << "governor: pressure=" << (governor_pressure ? "YES" : "no")
        << " verifier_bytes=" << governor.verifier_bytes
@@ -156,7 +146,8 @@ std::string RuntimeSnapshot::to_string() const {
   }
   if (recorder_attached) {
     os << "recorder: events=" << obs_events << " dropped=" << obs_dropped
-       << "\n";
+       << "\n"
+       << "counters: " << obs::to_string(counters) << "\n";
   }
   if (contention_enabled || !lock_sites.empty()) {
     os << "locks: " << lock_sites.size() << " site(s)"

@@ -24,6 +24,7 @@
 #include "core/policy_ids.hpp"
 #include "core/witness.hpp"
 #include "obs/contention.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/governor.hpp"
 #include "runtime/housekeeper.hpp"
 #include "runtime/recovery.hpp"
@@ -88,6 +89,7 @@ struct RuntimeSnapshot {
   bool recorder_attached = false;
   std::uint64_t obs_events = 0;
   std::uint64_t obs_dropped = 0;
+  obs::Counters counters;  ///< the metrics registry's counters
 
   // --- contention observatory ---
   /// True while lock/worker profiling was enabled at capture time. The

@@ -161,7 +161,6 @@ void RecoverySupervisor::recover_cycle(const std::vector<wfg::NodeId>& cycle) {
   }
   if (first_report) {
     cycles_recovered_.fetch_add(1, std::memory_order_relaxed);
-    rec_.metrics().cycles_recovered.fetch_add(1, std::memory_order_relaxed);
     gate_.note_cycle_recovered(w);
     obs::Event e;
     e.kind = obs::EventKind::CycleRecovered;

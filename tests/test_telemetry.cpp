@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/api.hpp"
+#include "runtime/introspect.hpp"
 #include "runtime/runtime.hpp"
 
 namespace tj {
@@ -168,31 +171,17 @@ TEST(TelemetrySinkTest, FinalSampleReconcilesWithEndOfRunStats) {
   }
   EXPECT_EQ(last.find("scheduler")->str(), "test");
 
-  // Exact reconciliation with the quiesced runtime's own accounting.
-  const core::GateStats gs = rt.gate_stats();
-  EXPECT_EQ(last.at_path("gate.joins_checked")->number(),
-            static_cast<double>(gs.joins_checked));
-  EXPECT_EQ(last.at_path("gate.policy_rejections")->number(),
-            static_cast<double>(gs.policy_rejections));
-  // The rejection identity holds on the stream alone: every field it needs
-  // is exported.
+  // The rejection identity holds on the stream alone: the gate block is
+  // read back field by field into a GateStats.
   core::GateStats streamed;
-  const auto field = [&last](const char* name) {
-    const slo::Json* v = last.at_path(std::string("gate.") + name);
-    EXPECT_NE(v, nullptr) << "missing gate." << name;
-    return v != nullptr ? static_cast<std::uint64_t>(v->number()) : 0;
-  };
-  streamed.policy_rejections = field("policy_rejections");
-  streamed.owp_rejections = field("owp_rejections");
-  streamed.false_positives = field("false_positives");
-  streamed.owp_false_positives = field("owp_false_positives");
-  streamed.deadlocks_averted = field("deadlocks_averted");
-  streamed.deadlocks_averted_approved = field("deadlocks_averted_approved");
+  core::for_each_field(
+      streamed, [&last](const char* name, std::uint64_t& v, const char*) {
+        const slo::Json* j = last.at_path(std::string("gate.") + name);
+        ASSERT_NE(j, nullptr) << "missing gate." << name;
+        v = static_cast<std::uint64_t>(j->number());
+      });
   EXPECT_GT(streamed.policy_rejections, 0u);
   EXPECT_TRUE(streamed.reconciles());
-  EXPECT_EQ(streamed.owp_false_positives, gs.owp_false_positives);
-  EXPECT_EQ(streamed.deadlocks_averted_approved,
-            gs.deadlocks_averted_approved);
   const obs::LatencyHistogram::Summary sum = svc.summary();
   EXPECT_EQ(last.at_path("hist.svc_latency_ns.count")->number(),
             static_cast<double>(sum.count));
@@ -258,6 +247,94 @@ TEST(TelemetrySinkTest, PrometheusDumpRendersGateAndHistograms) {
         "tj_svc_latency_ns{quantile=\"0.999\"}", "tj_svc_latency_ns_count"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
   }
+}
+
+// --- The counter tables ---------------------------------------------------
+
+TEST(TelemetryCounterTable, AccumulationAddsEveryGateField) {
+  core::GateStats a;
+  core::GateStats b;
+  std::uint64_t next = 1;
+  const auto fill = [&next](const char*, std::uint64_t& v, const char*) {
+    v = next++;
+  };
+  core::for_each_field(a, fill);
+  core::for_each_field(b, fill);
+  core::GateStats sum = a;
+  sum += b;
+  const auto of = [](const core::GateStats& s) {
+    std::vector<std::uint64_t> out;
+    core::for_each_field(s, [&out](const char*, std::uint64_t v,
+                                   const char*) { out.push_back(v); });
+    return out;
+  };
+  const std::vector<std::uint64_t> va = of(a), vb = of(b), vs = of(sum);
+  // The table names every field: GateStats holds nothing else.
+  ASSERT_EQ(va.size() * sizeof(std::uint64_t), sizeof(core::GateStats));
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(vs[i], va[i] + vb[i]) << "field " << i;
+  }
+  sum -= b;
+  EXPECT_EQ(of(sum), va);
+}
+
+TEST(TelemetryCounterTable, EveryExportCarriesEveryCounterExactly) {
+  const std::string jsonl = temp_path("telemetry_table.jsonl");
+  const std::string prom = temp_path("telemetry_table.prom");
+  std::remove(jsonl.c_str());
+  std::remove(prom.c_str());
+  runtime::Config cfg = observed();
+  // Injected rejections make false_positives and faults_injected non-zero.
+  cfg.fault_plan.seed = 3;
+  cfg.fault_plan.join_rejection_period = 2;
+  runtime::Runtime rt(cfg);
+  obs::TelemetryConfig tcfg;
+  tcfg.jsonl_path = jsonl;
+  tcfg.prometheus_path = prom;
+  tcfg.cadence_ms = 10'000;
+  obs::TelemetrySink sink(rt, tcfg);
+  sink.start();
+  rt.root([] {
+    for (int i = 0; i < 20; ++i) runtime::async([] {}).join();
+  });
+  sink.stop();
+
+  const core::GateStats gs = rt.gate_stats();
+  const obs::Counters cs = rt.recorder()->metrics().counters();
+  EXPECT_GT(gs.false_positives, 0u);
+  EXPECT_GT(cs.faults_injected, 0u);
+
+  const std::vector<slo::Json> samples = slo::parse_jsonl_file(jsonl);
+  ASSERT_FALSE(samples.empty());
+  const slo::Json& last = samples.back();
+  std::ifstream in(prom);
+  ASSERT_TRUE(in.good());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string prom_text = ss.str();
+  std::istringstream words(runtime::snapshot(rt).to_string());
+  std::vector<std::string> snapshot_words{
+      std::istream_iterator<std::string>(words),
+      std::istream_iterator<std::string>()};
+
+  const auto check = [&](const char* block, const char* name,
+                         std::uint64_t v) {
+    const slo::Json* j = last.at_path(std::string(block) + "." + name);
+    ASSERT_NE(j, nullptr) << "JSONL missing " << block << "." << name;
+    EXPECT_EQ(j->number(), static_cast<double>(v)) << block << "." << name;
+    const std::string series =
+        "\ntj_" + std::string(name) + " " + std::to_string(v) + "\n";
+    EXPECT_NE(prom_text.find(series), std::string::npos)
+        << "Prometheus missing tj_" << name << " " << v;
+    const std::string pair = std::string(name) + "=" + std::to_string(v);
+    EXPECT_NE(std::find(snapshot_words.begin(), snapshot_words.end(), pair),
+              snapshot_words.end())
+        << "snapshot missing " << pair;
+  };
+  core::for_each_field(gs, [&](const char* name, std::uint64_t v,
+                               const char*) { check("gate", name, v); });
+  obs::for_each_counter(cs, [&](const char* name, std::uint64_t v,
+                                const char*) { check("counters", name, v); });
 }
 
 // --- SLO evaluator --------------------------------------------------------

@@ -264,6 +264,8 @@ TEST(WitnessLadder, MixedLevelPairExplainsAndConfirms) {
 
   const WitnessValidation v = obs::validate_witness(w, trace::Trace{});
   EXPECT_EQ(v.verdict, WitnessVerdict::Confirmed) << v.reason;
+  ladder->release(a);
+  ladder->release(b);
 }
 
 // --- hand-crafted inconsistent witnesses must validate as Invalid ---------

@@ -410,15 +410,7 @@ std::string check_fault_plan(std::uint64_t seed, runtime::SchedulerMode mode,
     why = buf;
   }
   if (why.empty() && !s.reconciles()) {
-    std::snprintf(buf, sizeof buf,
-                  "unreconciled rejections: %llu+%llu != %llu+%llu+(%llu-%llu)",
-                  static_cast<unsigned long long>(s.policy_rejections),
-                  static_cast<unsigned long long>(s.owp_rejections),
-                  static_cast<unsigned long long>(s.false_positives),
-                  static_cast<unsigned long long>(s.owp_false_positives),
-                  static_cast<unsigned long long>(s.deadlocks_averted),
-                  static_cast<unsigned long long>(s.deadlocks_averted_approved));
-    why = buf;
+    why = "unreconciled rejections: " + core::to_string(s);
   }
   if (why.empty() && budget_chaos &&
       trace::contains_deadlock(rt.recorded_trace())) {

@@ -397,8 +397,8 @@ struct ModeResult {
   std::size_t final_level = 0, ladder_floor = 0;
   std::string history;
   tj::core::GateStats stats;
-  // Telemetry stream health (trivially true when --telemetry is off): the
-  // final JSONL sample's gate/admission counters must equal the end-of-run
+  // Telemetry stream health (trivially true when --telemetry is off): every
+  // gate counter in the final JSONL sample must equal the end-of-run
   // gate_stats() exactly — the time series ends on the truth.
   bool telemetry_reconciled = true;
   std::uint64_t telemetry_samples = 0;
@@ -774,19 +774,18 @@ void run_mode(rtj::SchedulerMode mode, const Options& o, const Expected& exp,
       r.telemetry_samples = mine.size();
       if (!mine.empty()) {
         const slo::Json& last = mine.back();
-        const auto eq = [&last](const char* path, std::uint64_t want) {
+        const auto eq = [&last](const std::string& path, std::uint64_t want) {
           const slo::Json* v = last.at_path(path);
           return v != nullptr && v->is_number() &&
                  v->number() == static_cast<double>(want);
         };
         r.telemetry_reconciled =
-            eq("gate.requests_checked", r.stats.requests_checked) &&
-            eq("gate.requests_admitted", r.stats.requests_admitted) &&
-            eq("gate.requests_shed", r.stats.requests_shed) &&
-            eq("gate.joins_checked", r.stats.joins_checked) &&
-            eq("gate.awaits_checked", r.stats.awaits_checked) &&
-            eq("gate.policy_rejections", r.stats.policy_rejections) &&
             eq("hist.request_latency_ns.count", lat_all.count());
+        tj::core::for_each_field(
+            r.stats, [&](const char* name, std::uint64_t v, const char*) {
+              r.telemetry_reconciled = r.telemetry_reconciled &&
+                                       eq(std::string("gate.") + name, v);
+            });
 
         // Contention reconciliation over the final (post-quiesce) sample:
         // the sink takes it synchronously in stop() after the workload has

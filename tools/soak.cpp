@@ -348,16 +348,7 @@ int main(int argc, char** argv) {
       std::printf("       degradation: %s\n", r.history.c_str());
     }
     if (!r.reconciled) {
-      const auto& s = r.stats;
-      std::printf("       stats: joins=%llu rej=%llu fp=%llu averted=%llu "
-                  "awaits=%llu owp_rej=%llu owp_fp=%llu\n",
-                  static_cast<unsigned long long>(s.joins_checked),
-                  static_cast<unsigned long long>(s.policy_rejections),
-                  static_cast<unsigned long long>(s.false_positives),
-                  static_cast<unsigned long long>(s.deadlocks_averted),
-                  static_cast<unsigned long long>(s.awaits_checked),
-                  static_cast<unsigned long long>(s.owp_rejections),
-                  static_cast<unsigned long long>(s.owp_false_positives));
+      std::printf("       stats: %s\n", tj::core::to_string(r.stats).c_str());
     }
   }
 
