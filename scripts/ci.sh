@@ -10,7 +10,7 @@
 #        ASAN=0 scripts/ci.sh          # skip the asan stage
 #        SOAK=0 scripts/ci.sh          # skip the long-lived soak stage
 #        LOADGEN=0 scripts/ci.sh       # skip the service-mode loadgen stage
-#        BENCH=0 scripts/ci.sh         # skip the benchmark-artifact stage
+#        BENCH=0 scripts/ci.sh         # skip the tjbench ledger stage
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -204,71 +204,16 @@ EOF
   echo "== [async] recovery-latency SLO holds under live traffic"
 fi
 
-# Benchmark artifact: the canonical runtime-ops microbenchmark numbers
-# (spawn / completed-join / fork-join per policy, plus governor, watchdog
-# and recorder-on variants) published as BENCH_runtime_ops.json at the repo
-# root — docs/benchmarks.md documents the schema. The recorder-off vs
-# recorder-on pair in this file is the observability cost contract's
-# regression check.
+# Performance ledger: one set of every tjbench workload (BENCHMARK.json) at
+# the contract's 15 s budget. run.py exits nonzero if a driver run breaks
+# one of its invariants (gate reconciliation, no recorder drops, no detector
+# failover, ...) or an end-to-end metric is non-finite or not positive.
 if [[ "$BENCH" == "1" ]] && [[ " $PRESETS " == *" release "* ]]; then
-  echo "== [bench] publish BENCH_runtime_ops.json"
-  ./build/bench/bench_runtime_ops --json=BENCH_runtime_ops.json >/dev/null
-  python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_runtime_ops.json"))
-names = {b["name"] for b in d["benchmarks"]}
-for needle in ["RuntimeOps/Spawn/none/iterations:50000",
-               "RuntimeOps/ForkAllJoinAll10k/recorder-on/iterations:3",
-               "RuntimeOps/ForkAllJoinAll10k/async/iterations:3"]:
-    assert needle in names, f"missing benchmark {needle}"
-for b in d["benchmarks"]:
-    if "/async" in b["name"]:
-        assert b.get("failover", 1) == 0, f"{b['name']}: detector failed over"
-print(f"bench artifact OK ({len(names)} benchmarks)")
-EOF
-fi
-
-# Scaling artifact: ops/sec vs thread count for every policy column, each
-# cell annotated with its measured lock-contention share — published as
-# BENCH_scaling.json at the repo root (schema "tj-scaling-v1", documented in
-# docs/benchmarks.md). BENCH=0 still runs a 2-thread smoke so the pipeline
-# (profiling guard, registry diff, poison detection, JSON schema) stays
-# gated even when the full sweep is skipped. The validator requires every
-# policy x thread cell to be present and unpoisoned.
-if [[ " $PRESETS " == *" release "* ]]; then
-  if [[ "$BENCH" == "1" ]]; then
-    echo "== [scaling] publish BENCH_scaling.json (full sweep)"
-    ./build/bench/bench_scaling --ops=1000 --json=BENCH_scaling.json >/dev/null
-    scaling_json=BENCH_scaling.json
-  else
-    echo "== [scaling] 2-thread smoke (BENCH=0: full sweep skipped)"
-    scaling_json="$(mktemp /tmp/tj-scaling-XXXXXX.json)"
-    tmpfiles+=("$scaling_json")
-    ./build/bench/bench_scaling --max-threads=2 --ops=100 \
-        --json="$scaling_json" >/dev/null
-  fi
-  python3 - "$scaling_json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["schema"] == "tj-scaling-v1", d.get("schema")
-policies = ["tj-gt", "tj-jp", "tj-sp", "kj-vc", "kj-ss", "owp", "cycle",
-            "async"]
-assert d["policies"] == policies, d["policies"]
-threads = d["threads"]
-assert threads, "no thread counts"
-cells = {(c["policy"], c["threads"]): c for c in d["cells"]}
-for p in policies:
-    for t in threads:
-        c = cells.get((p, t))
-        assert c is not None, f"missing cell {p}/{t}"
-        assert not c["poisoned"], f"cell {p}/{t}: {c['poison_reason']}"
-        assert c["ops_per_sec"] > 0, f"cell {p}/{t} has no throughput"
-        assert c["acquisitions"] >= c["contended"], f"cell {p}/{t} counters"
-        for k in ["contended_share", "lock_wait_share", "top_site",
-                  "effective_parallelism"]:
-            assert k in c, f"cell {p}/{t} missing {k}"
-print(f"scaling artifact OK ({len(d['cells'])} cells, threads={threads})")
-EOF
+  echo "== [bench] tjbench ledger (one set, every workload)"
+  bench_json="$(mktemp /tmp/tj-bench-XXXXXX.json)"
+  tmpfiles+=("$bench_json")
+  python3 bench/tjbench/run.py --sets=1 --seed=1 --seconds=15 \
+      --out="$bench_json"
 fi
 
 # ASan stage: a targeted address/UB-sanitizer pass over the subsystems that

@@ -39,7 +39,6 @@ echo "== ablations"
 ./build/bench/ablation_scheduler > "$OUT/ablation_scheduler.txt"
 ./build/bench/ablation_sync_style > "$OUT/ablation_sync_style.txt"
 ./build/bench/bench_fallback_cost 2>/dev/null > "$OUT/fallback_cost.txt"
-./build/bench/bench_runtime_ops 2>/dev/null > "$OUT/runtime_ops.txt"
 ./build/bench/bench_promise_ops 2>/dev/null > "$OUT/promise_ops.txt"
 
 echo "== examples"

@@ -56,7 +56,7 @@ void contention_profiling_retain();
 void contention_profiling_release();
 
 /// RAII retainer. `Runtime` holds one (active iff `Config::obs.enabled`);
-/// `bench_scaling` holds one per cell without any recorder.
+/// a test or benchmark may hold one directly to profile without a recorder.
 class ContentionEnableGuard {
  public:
   explicit ContentionEnableGuard(bool on) : on_(on) {

@@ -158,7 +158,6 @@ void TelemetrySink::sample_locked() {
        << ",\"scans\":" << s.recovery.detector.authoritative_scans
        << ",\"cycles_confirmed\":" << s.recovery.detector.cycles_confirmed
        << ",\"respawns\":" << s.recovery.detector.respawns
-       << ",\"cycles_recovered\":" << s.recovery.cycles_recovered
        << ",\"breaks_posted\":" << s.recovery.breaks_posted
        << ",\"waits_registered\":" << s.recovery.waits_registered << "}";
   }

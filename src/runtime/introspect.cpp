@@ -186,7 +186,7 @@ std::string RuntimeSnapshot::to_string() const {
        << " scans=" << recovery.detector.authoritative_scans
        << " confirmed=" << recovery.detector.cycles_confirmed
        << " respawns=" << recovery.detector.respawns
-       << " recovered=" << recovery.cycles_recovered
+       << " recovered=" << gate.cycles_recovered
        << " breaks=" << recovery.breaks_posted
        << " registered=" << recovery.waits_registered << "\n";
     for (const RecoveryStatus::Incident& inc : recovery.recent) {

@@ -160,7 +160,6 @@ void RecoverySupervisor::recover_cycle(const std::vector<wfg::NodeId>& cycle) {
     vic.formation_ns = formation_ns;
   }
   if (first_report) {
-    cycles_recovered_.fetch_add(1, std::memory_order_relaxed);
     gate_.note_cycle_recovered(w);
     obs::Event e;
     e.kind = obs::EventKind::CycleRecovered;
@@ -228,7 +227,6 @@ void RecoverySupervisor::on_failover(obs::DetectorFailoverReason /*reason*/,
 RecoveryStatus RecoverySupervisor::status() const {
   RecoveryStatus s;
   s.detector = detector_.status();
-  s.cycles_recovered = cycles_recovered_.load(std::memory_order_relaxed);
   s.breaks_posted = breaks_posted_.load(std::memory_order_relaxed);
   std::scoped_lock lk(mu_);
   s.waits_registered = waits_.size();

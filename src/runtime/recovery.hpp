@@ -59,9 +59,10 @@ class PromiseStateBase;
 /// snapshots, and telemetry.
 struct RecoveryStatus {
   core::DetectorStatus detector;
-  std::uint64_t cycles_recovered = 0;  ///< distinct incarnations broken
-  std::uint64_t breaks_posted = 0;     ///< wait-breaks installed (≥ above)
-  std::size_t waits_registered = 0;    ///< breakable waits right now
+  /// Wait-breaks installed; at least GateStats::cycles_recovered (the
+  /// distinct incarnations broken), since unbroken cycles are re-posted.
+  std::uint64_t breaks_posted = 0;
+  std::size_t waits_registered = 0;  ///< breakable waits right now
 
   /// One recovered incident, newest last (bounded history).
   struct Incident {
@@ -154,7 +155,6 @@ class RecoverySupervisor final : public core::DetectorSink {
   std::uint64_t next_entry_id_ = 1;                      // guarded by mu_
   std::set<IncarnationKey> counted_;                     // guarded by mu_
   std::vector<RecoveryStatus::Incident> recent_;  // ring, newest last
-  std::atomic<std::uint64_t> cycles_recovered_{0};
   std::atomic<std::uint64_t> breaks_posted_{0};
 
   core::AsyncDetector detector_;  // last: its thread may call back into us

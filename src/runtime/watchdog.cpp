@@ -141,7 +141,7 @@ void JoinWatchdog::poll_now() {
     report.detector_failed_over = rs.detector.failed_over;
     report.detector_lag_events = rs.detector.lag_events;
     report.detector_events_lost = rs.detector.events_lost;
-    report.cycles_recovered = rs.cycles_recovered;
+    report.cycles_recovered = gate_.stats().cycles_recovered;
     for (const RecoveryStatus::Incident& inc : rs.recent) {
       std::ostringstream line;
       line << "victim " << inc.victim << " ("

@@ -128,10 +128,11 @@ ValidityResult check_valid(const Trace& t, PolicyKind policy) {
         }
         break;
     }
-    // Judgments track the trace-so-far regardless of which policy is active,
-    // so all are in sync when queried.
-    tj.push(a);
-    kj.push(a);
+    // Each judgment tracks the trace-so-far only where it is queried: tj and
+    // kj under their own policy, owp always (the structural promise checks
+    // read its has_promise/fulfilled).
+    if (policy == PolicyKind::TJ) tj.push(a);
+    if (policy == PolicyKind::KJ) kj.push(a);
     owp.push(a);
   }
   if (!saw_init && !t.empty()) {

@@ -2,13 +2,15 @@
 // (registry-inert when off, counter-only when uncontended, wait/hold
 // histograms when contended), multithreaded wait attribution to the right
 // site, the snapshot ordering invariant under concurrent hammering, the
-// worker-state board, and the RuntimeSnapshot / telemetry-sample views of
-// both. Every suite name starts with "Contention" so `ctest -R Contention`
-// (the CI tsan stage) runs exactly this file — the wrappers and the state
-// board are the newest always-on concurrency code in the runtime.
+// worker-state board, the RuntimeSnapshot / telemetry-sample views of
+// both, and every policy on a profiled promise ping. Every suite name
+// starts with "Contention" so `ctest -R Contention` (the CI tsan stage)
+// runs exactly this file — the wrappers and the state board are the newest
+// always-on concurrency code in the runtime.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -362,6 +364,84 @@ TEST(ContentionTelemetry, FinalSampleReconcilesWithTheRegistry) {
   EXPECT_EQ(workers->find("count")->number(), 2.0);
   std::remove(path.c_str());
 }
+
+// --- every policy on a multi-worker promise ping --------------------------
+
+constexpr unsigned kPingDrivers = 2;
+constexpr std::uint64_t kPingOps = 50;
+
+/// The ownership-policy ping (make_promise, async_owning fulfils it, await,
+/// join) from two drivers on two workers with lock profiling on and no
+/// recorder. PolicyChoice::None keeps the default OWP promise policy, so
+/// that case runs promise verification alone.
+class ContentionPolicyPing
+    : public ::testing::TestWithParam<core::PolicyChoice> {};
+
+TEST_P(ContentionPolicyPing, ExactSumAndBalancedSites) {
+  runtime::Config cfg;
+  cfg.policy = GetParam();
+  cfg.workers = 2;
+  // Ring headroom, so drops cannot fail the async detector over mid-run.
+  if (cfg.policy == core::PolicyChoice::Async) {
+    cfg.obs.buffer_capacity = std::size_t{1} << 20;
+  }
+  ContentionEnableGuard on(true);
+  const auto total_acquisitions = [] {
+    std::uint64_t n = 0;
+    for (const SiteSnapshot& s : ContentionRegistry::instance().snapshot()) {
+      n += s.acquisitions;
+    }
+    return n;
+  };
+  const std::uint64_t before = total_acquisitions();
+
+  runtime::Runtime rt(cfg);
+  const std::uint64_t sum = rt.root([] {
+    std::vector<runtime::Future<std::uint64_t>> drivers;
+    for (unsigned d = 0; d < kPingDrivers; ++d) {
+      drivers.push_back(runtime::async([] {
+        std::uint64_t acc = 0;
+        for (std::uint64_t i = 0; i < kPingOps; ++i) {
+          auto p = runtime::make_promise<int>();
+          auto child = runtime::async_owning(p, [p] {
+            p.fulfill(1);
+            return 1;
+          });
+          acc += static_cast<std::uint64_t>(p.get());
+          acc += static_cast<std::uint64_t>(child.get());
+        }
+        return acc;
+      }));
+    }
+    std::uint64_t total = 0;
+    for (auto& f : drivers) total += f.get();
+    return total;
+  });
+
+  EXPECT_EQ(sum, 2 * kPingDrivers * kPingOps);
+  EXPECT_GT(total_acquisitions(), before);
+  for (const SiteSnapshot& s : ContentionRegistry::instance().snapshot()) {
+    EXPECT_EQ(s.acquisitions, s.uncontended + s.contended) << s.name;
+  }
+  if (cfg.policy == core::PolicyChoice::Async) {
+    ASSERT_NE(rt.recovery(), nullptr);
+    EXPECT_FALSE(rt.recovery()->failed_over())
+        << "a failed-over run measures the synchronous floor, not async";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, ContentionPolicyPing,
+    ::testing::Values(core::PolicyChoice::TJ_GT, core::PolicyChoice::TJ_JP,
+                      core::PolicyChoice::TJ_SP, core::PolicyChoice::KJ_VC,
+                      core::PolicyChoice::KJ_SS, core::PolicyChoice::None,
+                      core::PolicyChoice::CycleOnly,
+                      core::PolicyChoice::Async),
+    [](const ::testing::TestParamInfo<core::PolicyChoice>& info) {
+      std::string name(core::to_string(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace tj
