@@ -221,12 +221,17 @@ fi
 # degradation (governor/ladder downgrades, KJ-VC epoch GC compaction,
 # injected worker death + redelivery, inline-spawn accounting). The tsan
 # preset cannot see heap-use-after-free; this stage exists for exactly that.
+# Cancelled and timed-out joins return while their target still runs, so a
+# task body that reads the joiner's dead frame is a stack-use-after-return:
+# detect_stack_use_after_return turns that into an error instead of a hang.
 if [[ "$ASAN" == "1" ]]; then
   echo "== [asan] configure + build"
   cmake --preset asan
   cmake --build --preset asan -j"$(nproc)"
-  echo "== [asan] governor + fault-injection + recovery tests"
-  ctest --preset asan -R 'Governor|Ladder|DeadlineJoin|Backpressure|WatchdogDegradation|FaultInjection|Recovery' \
+  echo "== [asan] governor + fault-injection + recovery + cancellation tests"
+  ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  ctest --preset asan \
+        -R 'Governor|Ladder|DeadlineJoin|Backpressure|WatchdogDegradation|FaultInjection|Recovery|Cancellation' \
         --output-on-failure -j"$(nproc)"
   echo "== [asan] soak smoke"
   ./build-asan/tools/soak --seconds=6 --fault-seed=7

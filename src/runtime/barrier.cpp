@@ -9,20 +9,6 @@
 namespace tj::runtime {
 
 namespace {
-// RAII compensation bracket around a non-join blocking wait.
-class BlockingRegion {
- public:
-  explicit BlockingRegion(Scheduler& s) : sched_(s) {
-    sched_.enter_blocking_region();
-  }
-  ~BlockingRegion() { sched_.exit_blocking_region(); }
-  BlockingRegion(const BlockingRegion&) = delete;
-  BlockingRegion& operator=(const BlockingRegion&) = delete;
-
- private:
-  Scheduler& sched_;
-};
-
 void erase_value(std::vector<wfg::TaskUid>& xs, wfg::TaskUid v) {
   xs.erase(std::remove(xs.begin(), xs.end(), v), xs.end());
 }
@@ -160,7 +146,7 @@ bool CheckedBarrier::await() {
   blocked_uids_.push_back(uid);
   const std::uint64_t my_phase = phase_;
   {
-    BlockingRegion region(cur.runtime()->scheduler());
+    detail::BlockingRegionGuard region(cur.runtime()->scheduler());
     cv_.wait(lock,
              [this, my_phase] { return phase_ != my_phase || poisoned_; });
   }

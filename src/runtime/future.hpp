@@ -36,6 +36,11 @@ class Future {
   /// Joins on the task: verified by the active policy, blocks until the task
   /// terminates, then returns its result (copy; a Future may be joined by
   /// several tasks). Rethrows the task's exception if it failed.
+  ///
+  /// A cancelled caller throws CancelledError instead of waiting, even when
+  /// the task is already running; the task then outlives the caller's frame,
+  /// so it must not capture the caller's locals by reference (`[&]`) if the
+  /// caller can be cancelled. See Runtime::join.
   T get() const {
     require_valid();
     detail::join_current_on(*task_);
@@ -50,7 +55,7 @@ class Future {
 
   /// Deadline-aware join: verified by the active policy exactly like get(),
   /// but waits at most `timeout` (honoured to ~1ms granularity — see
-  /// TaskBase::wait_done_for). On Timeout the wait edge is withdrawn and the
+  /// TaskBase::wait_done). On Timeout the wait edge is withdrawn and the
   /// task keeps running; the caller may retry (e.g. with runtime/backoff.hpp)
   /// or move on. Policy faults (DeadlockAvoidedError etc.) still throw.
   /// A cooperative joiner that inline-claims the task runs it to completion
@@ -58,7 +63,7 @@ class Future {
   template <typename Rep, typename Period>
   JoinOutcome join_for(std::chrono::duration<Rep, Period> timeout) const {
     require_valid();
-    return detail::join_current_on_for(
+    return detail::join_current_on(
                *task_,
                std::chrono::duration_cast<std::chrono::nanoseconds>(timeout))
                ? JoinOutcome::Ready
@@ -71,7 +76,7 @@ class Future {
   template <typename Rep, typename Period>
   auto get_for(std::chrono::duration<Rep, Period> timeout) const {
     require_valid();
-    const bool ready = detail::join_current_on_for(
+    const bool ready = detail::join_current_on(
         *task_, std::chrono::duration_cast<std::chrono::nanoseconds>(timeout));
     if constexpr (std::is_void_v<T>) {
       if (!ready) return false;

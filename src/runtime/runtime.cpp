@@ -1,5 +1,6 @@
 #include "runtime/runtime.hpp"
 
+#include <string>
 #include <thread>
 
 #include "core/ladder.hpp"
@@ -107,7 +108,6 @@ void TaskBase::run() {
   state_.store(TaskState::Done, std::memory_order_release);
   FaultInjector* inj = rt_ != nullptr ? rt_->injector_.get() : nullptr;
   if (inj == nullptr) {
-    state_.notify_all();
     bump_wake_seq();
     return;
   }
@@ -115,10 +115,7 @@ void TaskBase::run() {
   // redeliver it from the housekeeper; the shared_ptr keeps the task alive
   // until the redelivery lands.
   auto self = shared_from_this();
-  if (inj->perturb_wakeup([self] {
-        self->state_.notify_all();
-        self->bump_wake_seq();
-      })) {
+  if (inj->perturb_wakeup([self] { self->bump_wake_seq(); })) {
     if (rec != nullptr) {
       rec->metrics().faults_injected.fetch_add(1, std::memory_order_relaxed);
       obs::Event e;
@@ -128,7 +125,6 @@ void TaskBase::run() {
       rec->emit(e);
     }
   } else {
-    state_.notify_all();
     bump_wake_seq();
   }
 }
@@ -163,7 +159,6 @@ bool TaskBase::deliver_cancel(const std::exception_ptr& cause) {
     }
   }
   state_.store(TaskState::Done, std::memory_order_release);
-  state_.notify_all();
   bump_wake_seq();
   if (rt_ != nullptr) {
     rt_->task_cancelled_done();  // pairs with submit's live-task increment
@@ -173,20 +168,13 @@ bool TaskBase::deliver_cancel(const std::exception_ptr& cause) {
 
 namespace detail {
 
-void join_current_on(TaskBase& target) {
+bool join_current_on(TaskBase& target,
+                     std::optional<std::chrono::nanoseconds> timeout) {
   Runtime* rt = target.runtime();
   if (rt == nullptr) {
     throw UsageError("join: task was never registered with a runtime");
   }
-  rt->join(target);
-}
-
-bool join_current_on_for(TaskBase& target, std::chrono::nanoseconds timeout) {
-  Runtime* rt = target.runtime();
-  if (rt == nullptr) {
-    throw UsageError("join: task was never registered with a runtime");
-  }
-  return rt->join_for(target, timeout);
+  return rt->join(target, timeout);
 }
 
 PromiseStateBase::~PromiseStateBase() {
@@ -447,39 +435,53 @@ void Runtime::cancel_all(std::exception_ptr cause) {
   root_scope_->cancel(std::move(cause));
 }
 
-void Runtime::join(TaskBase& target) {
+TaskBase& Runtime::enter_wait(const char* op) {
   if (cfg_.chaos_seed != 0 && chaos_roll(cfg_.chaos_seed)) {
     std::this_thread::yield();
   }
   TaskBase& cur = current_task();
   if (cur.runtime() != this) {
-    throw UsageError("join: current task belongs to another runtime");
+    throw UsageError(std::string(op) +
+                     ": current task belongs to another runtime");
   }
   if (cur.cancel_requested()) {
     // Cancellation checkpoint: a cancelled task must not start a new
-    // blocking wait.
-    throw CancelledError("join abandoned: the joining task was cancelled",
+    // blocking wait. It throws whatever state the target is in, so a
+    // Running target can outlive the waiter's frame (see Runtime::join).
+    throw CancelledError(std::string(op) + " abandoned: the " + op +
+                             "ing task was cancelled",
                          cur.cancel_cause());
   }
+  return cur;
+}
+
+void Runtime::throw_if_rejected(core::JoinDecision d, core::Witness& why,
+                                const char* deadlock_msg,
+                                const char* policy_msg) const {
+  if (d != core::JoinDecision::FaultDeadlock &&
+      d != core::JoinDecision::FaultPolicy) {
+    return;
+  }
+  if (cfg_.record_trace) why.trace_pos = trace_position();
+  if (d == core::JoinDecision::FaultDeadlock) {
+    throw DeadlockAvoidedError(deadlock_msg, std::move(why));
+  }
+  throw PolicyViolationError(policy_msg, std::move(why));
+}
+
+bool Runtime::join(TaskBase& target,
+                   std::optional<std::chrono::nanoseconds> timeout) {
+  TaskBase& cur = enter_wait("join");
   const bool was_done = target.done();
+  // A deadline does not weaken the policy: a join the policy would reject
+  // still faults rather than timing out.
   core::Witness why;
   const core::JoinDecision d =
       gate_.enter_join(cur.uid(), target.uid(), cur.policy_node(),
                        target.policy_node(), was_done, &why);
-  switch (d) {
-    case core::JoinDecision::FaultDeadlock:
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw DeadlockAvoidedError(
-          "join aborted: blocking would create a deadlock cycle",
-          std::move(why));
-    case core::JoinDecision::FaultPolicy:
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw PolicyViolationError("join rejected by the active policy",
-                                 std::move(why));
-    case core::JoinDecision::Proceed:
-    case core::JoinDecision::ProceedFalsePositive:
-      break;
-  }
+  throw_if_rejected(d, why,
+                    "join aborted: blocking would create a deadlock cycle",
+                    "join rejected by the active policy");
   // Async mode: the wait is breakable — registered with the recovery
   // supervisor for the guard's whole lifetime, which outlives the catch
   // block's leave_join so a broken victim's WFG edge is withdrawn *before*
@@ -487,83 +489,7 @@ void Runtime::join(TaskBase& target) {
   // broken cycle against a registry that no longer names the victim).
   RecoveryWaitGuard rguard(!was_done ? recovery_.get() : nullptr, &cur,
                            &target, nullptr, cur.request_context().tenant);
-  try {
-    if (!was_done) {
-      WatchdogBlockGuard guard(
-          watchdog_.get(), cur.uid(), target.uid(), /*on_promise=*/false,
-          d == core::JoinDecision::ProceedFalsePositive
-              ? "policy-rejected, fallback-cleared"
-              : "policy-approved");
-      const std::uint64_t t0 =
-          recorder_ != nullptr ? recorder_->now_ns() : 0;
-      sched_.join_wait(target);
-      if (recorder_ != nullptr) {
-        const std::uint64_t blocked = recorder_->now_ns() - t0;
-        recorder_->metrics().blocked_join_ns.record(blocked);
-        obs::Event e;
-        e.kind = obs::EventKind::JoinBlocked;
-        e.actor = cur.uid();
-        e.target = target.uid();
-        e.payload = blocked;
-        recorder_->emit(e);
-      }
-    }
-  } catch (...) {
-    gate_.leave_join(cur.uid(), target.uid(), cur.policy_node(),
-                     target.policy_node(), /*completed=*/false);
-    throw;
-  }
-  gate_.leave_join(cur.uid(), target.uid(), cur.policy_node(),
-                   target.policy_node(), /*completed=*/true);
-  if (cfg_.record_trace) {
-    record(trace::join(static_cast<trace::TaskId>(cur.uid()),
-                       static_cast<trace::TaskId>(target.uid())));
-  }
-  if (recorder_ != nullptr) {
-    obs::Event e;
-    e.kind = obs::EventKind::JoinComplete;
-    e.actor = cur.uid();
-    e.target = target.uid();
-    recorder_->emit(e);
-  }
-}
-
-bool Runtime::join_for(TaskBase& target, std::chrono::nanoseconds timeout) {
-  if (cfg_.chaos_seed != 0 && chaos_roll(cfg_.chaos_seed)) {
-    std::this_thread::yield();
-  }
-  TaskBase& cur = current_task();
-  if (cur.runtime() != this) {
-    throw UsageError("join: current task belongs to another runtime");
-  }
-  if (cur.cancel_requested()) {
-    throw CancelledError("join abandoned: the joining task was cancelled",
-                         cur.cancel_cause());
-  }
-  const bool was_done = target.done();
-  // Same gate ruling as join(): a deadline does not weaken the policy — a
-  // join the policy would reject still faults rather than timing out.
-  core::Witness why;
-  const core::JoinDecision d =
-      gate_.enter_join(cur.uid(), target.uid(), cur.policy_node(),
-                       target.policy_node(), was_done, &why);
-  switch (d) {
-    case core::JoinDecision::FaultDeadlock:
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw DeadlockAvoidedError(
-          "join aborted: blocking would create a deadlock cycle",
-          std::move(why));
-    case core::JoinDecision::FaultPolicy:
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw PolicyViolationError("join rejected by the active policy",
-                                 std::move(why));
-    case core::JoinDecision::Proceed:
-    case core::JoinDecision::ProceedFalsePositive:
-      break;
-  }
   bool completed = was_done;
-  RecoveryWaitGuard rguard(!was_done ? recovery_.get() : nullptr, &cur,
-                           &target, nullptr, cur.request_context().tenant);
   try {
     if (!was_done) {
       WatchdogBlockGuard guard(
@@ -573,7 +499,7 @@ bool Runtime::join_for(TaskBase& target, std::chrono::nanoseconds timeout) {
               : "policy-approved");
       const std::uint64_t t0 =
           recorder_ != nullptr ? recorder_->now_ns() : 0;
-      completed = sched_.join_wait_for(target, timeout);
+      completed = sched_.join_wait(target, timeout);
       if (recorder_ != nullptr && completed) {
         const std::uint64_t blocked = recorder_->now_ns() - t0;
         recorder_->metrics().blocked_join_ns.record(blocked);
@@ -590,12 +516,12 @@ bool Runtime::join_for(TaskBase& target, std::chrono::nanoseconds timeout) {
                      target.policy_node(), /*completed=*/false);
     throw;
   }
+  gate_.leave_join(cur.uid(), target.uid(), cur.policy_node(),
+                   target.policy_node(), completed);
   if (!completed) {
-    // Deadline expired: withdraw the wait edge. No KJ-learn, no trace join
-    // record — from the formalism's view this join never happened, so a
-    // later retry is a fresh join.
-    gate_.leave_join(cur.uid(), target.uid(), cur.policy_node(),
-                     target.policy_node(), /*completed=*/false);
+    // Deadline expired: the wait edge is withdrawn. No KJ-learn, no trace
+    // join record — from the formalism's view this join never happened, so
+    // a later retry is a fresh join.
     if (recorder_ != nullptr) {
       recorder_->metrics().join_timeouts.fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -603,13 +529,11 @@ bool Runtime::join_for(TaskBase& target, std::chrono::nanoseconds timeout) {
       e.kind = obs::EventKind::JoinTimeout;
       e.actor = cur.uid();
       e.target = target.uid();
-      e.payload = static_cast<std::uint64_t>(timeout.count());
+      e.payload = static_cast<std::uint64_t>(timeout->count());
       recorder_->emit(e);
     }
     return false;
   }
-  gate_.leave_join(cur.uid(), target.uid(), cur.policy_node(),
-                   target.policy_node(), /*completed=*/true);
   if (cfg_.record_trace) {
     record(trace::join(static_cast<trace::TaskId>(cur.uid()),
                        static_cast<trace::TaskId>(target.uid())));
@@ -682,47 +606,27 @@ void Runtime::init_promise_state(detail::PromiseStateBase& s) {
 }
 
 void Runtime::await_promise(detail::PromiseStateBase& s) {
-  if (cfg_.chaos_seed != 0 && chaos_roll(cfg_.chaos_seed)) {
-    std::this_thread::yield();
-  }
-  TaskBase& cur = current_task();
-  if (cur.runtime() != this) {
-    throw UsageError("await: current task belongs to another runtime");
-  }
-  if (cur.cancel_requested()) {
-    throw CancelledError("await abandoned: the awaiting task was cancelled",
-                         cur.cancel_cause());
-  }
+  TaskBase& cur = enter_wait("await");
   const bool was_fulfilled = s.fulfilled();
   core::Witness why;
   const core::JoinDecision d =
       gate_.enter_await(cur.uid(), s.pnode_, was_fulfilled, &why);
-  switch (d) {
-    case core::JoinDecision::FaultDeadlock:
-      if (auto cause = s.poison_cause(); cause) {
-        // The owner was cancelled (or died of a fault) before we blocked:
-        // surface the originating fault, not a bare orphan deadlock.
-        throw CancelledError(
-            "await aborted: the promise was poisoned by cancellation",
-            cause);
-      }
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw DeadlockAvoidedError(
-          "await aborted: the promise is orphaned or blocking on it would "
-          "create a deadlock cycle",
-          std::move(why));
-    case core::JoinDecision::FaultPolicy:
-      if (cfg_.record_trace) why.trace_pos = trace_position();
-      throw PolicyViolationError("await rejected by the ownership policy",
-                                 std::move(why));
-    case core::JoinDecision::Proceed:
-    case core::JoinDecision::ProceedFalsePositive:
-      break;
+  if (d == core::JoinDecision::FaultDeadlock) {
+    if (auto cause = s.poison_cause(); cause) {
+      // The owner was cancelled (or died of a fault) before we blocked:
+      // surface the originating fault, not a bare orphan deadlock.
+      throw CancelledError(
+          "await aborted: the promise was poisoned by cancellation", cause);
+    }
   }
+  throw_if_rejected(d, why,
+                    "await aborted: the promise is orphaned or blocking on "
+                    "it would create a deadlock cycle",
+                    "await rejected by the ownership policy");
   if (!was_fulfilled) {
     const std::uint64_t t0 = recorder_ != nullptr ? recorder_->now_ns() : 0;
     // Breakable-wait bracket, outliving the catch block's leave_await (see
-    // the join() comment for the ordering argument).
+    // join() for the ordering argument).
     RecoveryWaitGuard rguard(recovery_.get(), &cur, nullptr, &s,
                              cur.request_context().tenant);
     try {

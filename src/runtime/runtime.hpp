@@ -5,9 +5,11 @@
 // other task is created by async() from within a task context.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -94,15 +96,23 @@ class Runtime {
   }
 
   /// Instrumented join of the current task on `target` (Algorithm 1 Join):
-  /// policy check, fault or wait, then completion bookkeeping.
-  void join(TaskBase& target);
-
-  /// Deadline-aware join: same gate ruling as join(), but the wait is
-  /// bounded by `timeout`. True iff the target terminated (full join
-  /// bookkeeping ran); false iff the deadline expired — the wait edge is
-  /// withdrawn, no KJ-learn / trace join is recorded (the join did not
-  /// happen), and the caller may retry. Used through Future::join_for.
-  bool join_for(TaskBase& target, std::chrono::nanoseconds timeout);
+  /// policy check, fault or wait, then completion bookkeeping. Used through
+  /// Future::get/join (no `timeout`) and Future::join_for/get_for.
+  ///
+  /// A `timeout` bounds only the wait; the gate ruling is the same. Returns
+  /// true iff the target terminated (full join bookkeeping ran); false iff
+  /// the deadline expired — the wait edge is withdrawn, no KJ-learn / trace
+  /// join is recorded (the join did not happen), and the caller may retry.
+  /// Without a timeout it returns true or throws.
+  ///
+  /// Cancellation: a cancelled joiner throws CancelledError at the join's
+  /// checkpoint whatever state the target is in, so a target that is already
+  /// Running keeps running after the joiner's frame unwinds. A task body
+  /// that captures the joiner's locals by reference (`[&]`) can then read a
+  /// dead frame; capture shared state by value (e.g. a std::shared_ptr)
+  /// wherever the joiner can be cancelled.
+  bool join(TaskBase& target,
+            std::optional<std::chrono::nanoseconds> timeout);
 
   /// Makes a promise owned by the current task. Used through make_promise()
   /// in api.hpp.
@@ -209,8 +219,6 @@ class Runtime {
 
  private:
   friend class TaskBase;
-  friend void detail::join_current_on(TaskBase&);
-  friend bool detail::join_current_on_for(TaskBase&, std::chrono::nanoseconds);
   friend class detail::PromiseStateBase;
   friend void detail::await_promise_state(detail::PromiseStateBase&);
   friend void detail::fulfill_check(detail::PromiseStateBase&);
@@ -227,6 +235,16 @@ class Runtime {
   /// witness as Witness::trace_pos so the offline validator evaluates
   /// prefix-sensitive judgments at the rejection-time prefix.
   std::uint64_t trace_position() const;
+
+  /// Prologue shared by join and await (`op` names which, for messages):
+  /// chaos yield, the other-runtime check and the cancellation checkpoint.
+  /// Returns the current task.
+  TaskBase& enter_wait(const char* op);
+  /// Turns a gate rejection into its exception, with the witness stamped at
+  /// the current trace position; returns on Proceed/ProceedFalsePositive.
+  void throw_if_rejected(core::JoinDecision d, core::Witness& why,
+                         const char* deadlock_msg,
+                         const char* policy_msg) const;
 
   // Spawn backpressure (admission control): past the live-task watermark,
   // async() runs the child inline in the caller instead of submitting it.

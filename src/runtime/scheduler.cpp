@@ -168,66 +168,10 @@ void Scheduler::note_task_done() {
   }
 }
 
-void Scheduler::join_wait(TaskBase& target) {
+bool Scheduler::join_wait(TaskBase& target,
+                          std::optional<std::chrono::nanoseconds> timeout) {
   if (mode_ == SchedulerMode::Cooperative) {
     if (!target.done() && target.try_claim()) {
-      inlined_.fetch_add(1, std::memory_order_relaxed);
-      if (rec_ != nullptr) {
-        obs::Event e;
-        e.kind = obs::EventKind::SchedInline;
-        const TaskBase* cur = current_task_or_null();
-        e.actor = cur != nullptr ? cur->uid() : 0;
-        e.target = target.uid();
-        rec_->emit(e);
-      }
-      run_claimed(target);
-      return;
-    }
-    // try_claim can only fail when the target is Running or Done; Done wakes
-    // us via notify_all, Running will reach Done on its own thread.
-    // Interruptible: in async (optimistic) mode the recovery supervisor may
-    // break this wait — the throw propagates to the gate's leave_join.
-    obs::ScopedWorkerState blocked(obs::tls_worker_slot(),
-                                   obs::WorkerState::BlockedJoin);
-    target.wait_done_interruptible(current_task_or_null());
-    return;
-  }
-
-  // Blocking mode: never help; preserve parallelism with compensation
-  // workers while this worker blocks.
-  if (t_is_worker) {
-    {
-      std::scoped_lock lock(mu_);
-      ++blocked_workers_;
-      if (!stop_ &&
-          live_workers_locked() - blocked_workers_ < target_parallelism_ &&
-          live_workers_locked() < max_threads_) {
-        add_worker_locked();
-        record_compensation_locked();
-      }
-    }
-    try {
-      obs::ScopedWorkerState blocked(obs::tls_worker_slot(),
-                                     obs::WorkerState::BlockedJoin);
-      target.wait_done_interruptible(current_task_or_null());
-    } catch (...) {
-      std::scoped_lock lock(mu_);
-      --blocked_workers_;
-      throw;
-    }
-    std::scoped_lock lock(mu_);
-    --blocked_workers_;
-  } else {
-    target.wait_done_interruptible(current_task_or_null());
-  }
-}
-
-bool Scheduler::join_wait_for(TaskBase& target,
-                              std::chrono::nanoseconds timeout) {
-  if (mode_ == SchedulerMode::Cooperative) {
-    if (!target.done() && target.try_claim()) {
-      // Inline help ignores the deadline on purpose: the joiner is executing
-      // the very work it wants, so there is nothing to time out on.
       inlined_.fetch_add(1, std::memory_order_relaxed);
       if (rec_ != nullptr) {
         obs::Event e;
@@ -240,39 +184,18 @@ bool Scheduler::join_wait_for(TaskBase& target,
       run_claimed(target);
       return true;
     }
+    // try_claim can only fail when the target is Running or Done; Done wakes
+    // us via wake_seq_, Running will reach Done on its own thread.
+    // Interruptible: in async (optimistic) mode the recovery supervisor may
+    // break this wait — the throw propagates to the gate's leave_join.
     obs::ScopedWorkerState blocked(obs::tls_worker_slot(),
                                    obs::WorkerState::BlockedJoin);
-    return target.wait_done_for_interruptible(timeout, current_task_or_null());
+    return target.wait_done(current_task_or_null(), timeout);
   }
-
-  // Blocking mode: same compensation bracket as join_wait, bounded wait.
-  if (t_is_worker) {
-    {
-      std::scoped_lock lock(mu_);
-      ++blocked_workers_;
-      if (!stop_ &&
-          live_workers_locked() - blocked_workers_ < target_parallelism_ &&
-          live_workers_locked() < max_threads_) {
-        add_worker_locked();
-        record_compensation_locked();
-      }
-    }
-    bool done = false;
-    try {
-      obs::ScopedWorkerState blocked(obs::tls_worker_slot(),
-                                     obs::WorkerState::BlockedJoin);
-      done =
-          target.wait_done_for_interruptible(timeout, current_task_or_null());
-    } catch (...) {
-      std::scoped_lock lock(mu_);
-      --blocked_workers_;
-      throw;
-    }
-    std::scoped_lock lock(mu_);
-    --blocked_workers_;
-    return done;
-  }
-  return target.wait_done_for_interruptible(timeout, current_task_or_null());
+  // Blocking mode: never help; preserve parallelism with compensation
+  // workers while this worker blocks.
+  detail::BlockingRegionGuard region(*this);
+  return target.wait_done(current_task_or_null(), timeout);
 }
 
 void Scheduler::enter_blocking_region() {

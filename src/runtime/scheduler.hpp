@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -45,15 +46,14 @@ class Scheduler {
   /// Enqueues a spawned task.
   void submit(std::shared_ptr<TaskBase> task);
 
-  /// Waits until `target` terminates, per the configured mode. Called with
-  /// the joining task's context current; the policy check already passed.
-  void join_wait(TaskBase& target);
-
-  /// Deadline variant: waits at most `timeout`; true iff the target
-  /// terminated. A cooperative joiner that wins the inline claim runs the
-  /// target to completion regardless of the deadline (it is making progress,
-  /// not blocked — the timeout bounds *waiting*, not work) and returns true.
-  bool join_wait_for(TaskBase& target, std::chrono::nanoseconds timeout);
+  /// Waits until `target` terminates, per the configured mode, or at most
+  /// `timeout` when one is given; true iff the target terminated. Called
+  /// with the joining task's context current; the policy check already
+  /// passed. A cooperative joiner that wins the inline claim runs the target
+  /// to completion regardless of the deadline (it is making progress, not
+  /// blocked — the timeout bounds *waiting*, not work) and returns true.
+  bool join_wait(TaskBase& target,
+                 std::optional<std::chrono::nanoseconds> timeout);
 
   /// Live (submitted, not yet terminated) task count — the governor's and
   /// the spawn-backpressure watermark's admission signal.
@@ -64,10 +64,10 @@ class Scheduler {
   /// Blocks until every submitted task has terminated.
   void quiesce();
 
-  /// Brackets a blocking wait performed OUTSIDE join_wait (e.g. a barrier
-  /// await): when the caller is a worker thread, the pool may grow a
-  /// compensation worker so queued tasks keep running — in both scheduler
-  /// modes, since cooperative inlining cannot help with non-join blocking.
+  /// Brackets a blocking wait (a Blocking-mode join, a promise await, a
+  /// barrier await): when the caller is a worker thread, the pool may grow a
+  /// compensation worker so queued tasks keep running. Non-join waits use it
+  /// in both scheduler modes, since cooperative inlining cannot help there.
   void enter_blocking_region();
   void exit_blocking_region();
 
@@ -137,9 +137,9 @@ TaskBase* current_task_or_null();
 TaskBase& current_task();  // throws UsageError when not in a task
 
 namespace detail {
-/// RAII compensation bracket around a non-join blocking wait (promise
-/// awaits, barrier waits): exception-safe, unlike calling enter/exit by
-/// hand.
+/// RAII compensation bracket around a blocking wait (Blocking-mode joins,
+/// promise awaits, barrier waits): exception-safe, unlike calling
+/// enter/exit by hand.
 class BlockingRegionGuard {
  public:
   explicit BlockingRegionGuard(Scheduler& s) : sched_(s) {

@@ -56,64 +56,40 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
   /// Defined in runtime.cpp.
   void run();
 
-  /// Blocks the calling thread until the task is Done (futex-style wait).
-  void wait_done() const {
-    TaskState s = state_.load(std::memory_order_acquire);
-    while (s != TaskState::Done) {
-      state_.wait(s, std::memory_order_acquire);
-      s = state_.load(std::memory_order_acquire);
-    }
-  }
-
-  /// wait_done() variant for async (optimistic) mode: additionally wakes —
-  /// and throws — when the recovery supervisor posts a wait-break on
-  /// `waiter` (the task doing the joining; null for external threads, which
-  /// cannot be deadlock victims). Parks on wake_seq_, NOT state_:
-  /// std::atomic::wait only returns once the watched word differs from the
-  /// captured value, so a break nudge (which changes no task state) would
-  /// never wake a state_ waiter — the library re-parks it internally.
-  /// Every wake source (Done publication and nudge_waiters) bumps wake_seq_,
-  /// making each notify observable here.
-  void wait_done_interruptible(TaskBase* waiter) const {
-    if (waiter == nullptr) return wait_done();
-    while (true) {
-      waiter->throw_if_wait_broken();
-      const std::uint32_t seq = wake_seq_.load(std::memory_order_acquire);
-      if (state_.load(std::memory_order_acquire) == TaskState::Done) return;
-      // A break or Done published after the seq read bumps wake_seq_, so the
-      // wait below returns immediately — no lost-wakeup window.
-      waiter->throw_if_wait_broken();
-      wake_seq_.wait(seq, std::memory_order_acquire);
-    }
-  }
-
-  /// Timed variant for deadline-aware joins: waits until Done or `timeout`
-  /// elapses; true iff the task completed. std::atomic has no timed wait, so
-  /// this polls with capped exponential backoff (50µs → 1ms) — the deadline
-  /// is honoured to ~1ms granularity, which the join_for API documents. A
-  /// task that is already Done returns immediately without sleeping.
-  bool wait_done_for(std::chrono::nanoseconds timeout) const {
-    return wait_done_for_interruptible(timeout, nullptr);
-  }
-
-  /// Timed wait that also honours a recovery wait-break on `waiter` (see
-  /// wait_done_interruptible). The poll loop wakes at least every ~1ms, so
-  /// a posted break is observed without any extra notification. `waiter`
-  /// may be null (plain timed wait).
-  bool wait_done_for_interruptible(std::chrono::nanoseconds timeout,
-                                   TaskBase* waiter) const {
-    if (state_.load(std::memory_order_acquire) == TaskState::Done) return true;
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+  /// Blocks the calling thread until the task is Done, or until `timeout`
+  /// elapses when one is given; true iff the task is Done. Throws when the
+  /// recovery supervisor posts a wait-break on `waiter` (the task doing the
+  /// joining; null for external threads, which cannot be deadlock victims).
+  ///
+  /// Without a timeout the wait parks on wake_seq_, NOT state_, and never
+  /// reads the clock: std::atomic::wait only returns once the watched word
+  /// differs from the captured value, so a break nudge (which changes no
+  /// task state) would never wake a state_ waiter — the library re-parks it
+  /// internally. Every wake source (Done publication and nudge_waiters)
+  /// bumps wake_seq_, making each notify observable here.
+  ///
+  /// With a timeout it polls with capped exponential backoff (50µs → 1ms),
+  /// since std::atomic has no timed wait: the deadline is honoured to ~1ms
+  /// granularity, which the join_for API documents, and a posted break is
+  /// observed within one nap without any extra notification.
+  bool wait_done(TaskBase* waiter,
+                 std::optional<std::chrono::nanoseconds> timeout) const {
+    std::chrono::steady_clock::time_point deadline;
+    if (timeout) deadline = std::chrono::steady_clock::now() + *timeout;
     auto nap = std::chrono::microseconds(50);
     while (true) {
       if (waiter != nullptr) waiter->throw_if_wait_broken();
-      if (state_.load(std::memory_order_acquire) == TaskState::Done) {
-        return true;
+      const std::uint32_t seq = wake_seq_.load(std::memory_order_acquire);
+      if (done()) return true;
+      if (!timeout) {
+        // A break or Done published after the seq read bumps wake_seq_, so
+        // the wait below returns immediately — no lost-wakeup window.
+        if (waiter != nullptr) waiter->throw_if_wait_broken();
+        wake_seq_.wait(seq, std::memory_order_acquire);
+        continue;
       }
       const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        return state_.load(std::memory_order_acquire) == TaskState::Done;
-      }
+      if (now >= deadline) return done();
       const auto remaining =
           std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
       std::this_thread::sleep_for(nap < remaining ? nap : remaining);
@@ -195,8 +171,8 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
     return wait_break_.load(std::memory_order_acquire) != nullptr;
   }
 
-  /// Spuriously wakes every thread parked in a wait_done* on THIS task so
-  /// an interruptible waiter rechecks its wait-break. Any thread.
+  /// Spuriously wakes every thread parked in wait_done() on THIS task so a
+  /// waiter rechecks its wait-break. Any thread.
   void nudge_waiters() { bump_wake_seq(); }
 
  protected:
@@ -218,7 +194,7 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
   /// The scope's originating fault, if any. Defined in runtime.cpp.
   std::exception_ptr cancel_cause() const;
 
-  /// Advances the interruptible-wait generation and wakes its parkers.
+  /// Advances the join-wait generation and wakes its parkers.
   /// Called by every wake source: Done publication, cancel completion, and
   /// nudge_waiters().
   void bump_wake_seq() const {
@@ -230,7 +206,7 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
   Runtime* rt_ = nullptr;
   core::PolicyNode* pnode_ = nullptr;  // owned by the runtime's verifier
   std::atomic<TaskState> state_{TaskState::Queued};
-  // Interruptible-wait futex word; see wait_done_interruptible(). Counts
+  // Join-wait futex word; see wait_done(). Counts
   // wake events, never read for its value — only for change detection.
   mutable std::atomic<std::uint32_t> wake_seq_{0};
   std::exception_ptr error_;
@@ -291,15 +267,11 @@ class TaskImpl<void, F> final : public Task<void> {
 };
 
 /// Performs an instrumented join of the *current* task on `target`
-/// (policy check → fault or wait → completion bookkeeping).
-/// Defined in runtime.cpp.
-void join_current_on(TaskBase& target);
-
-/// Deadline variant: same gate ruling, bounded wait. True iff the target
-/// terminated (the join completed); false iff the deadline expired — the
-/// wait edge is then withdrawn and no join bookkeeping (KJ-learn, trace
-/// record) happens, so the caller may retry later. Defined in runtime.cpp.
-bool join_current_on_for(TaskBase& target, std::chrono::nanoseconds timeout);
+/// (policy check → fault or wait → completion bookkeeping), through
+/// Runtime::join. With a `timeout` the wait is bounded: false iff the
+/// deadline expired. Defined in runtime.cpp.
+bool join_current_on(TaskBase& target,
+                     std::optional<std::chrono::nanoseconds> timeout = {});
 
 }  // namespace detail
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -21,18 +22,24 @@ namespace {
 // Pins the (single) worker so everything spawned afterwards stays queued.
 // Spawn the blocker OUTSIDE any cancellation scope under test so it is not
 // itself cancelled.
+//
+// The release flag is shared with the blocker by value, not through `this`:
+// a cancelled root throws at its join checkpoint while the blocker still
+// runs, so the pin (on the root's stack) can die before the blocker sees the
+// flag. A `this` capture would then spin on a reused stack slot forever.
 struct WorkerPin {
-  std::atomic<bool> release{false};
+  std::shared_ptr<std::atomic<bool>> release =
+      std::make_shared<std::atomic<bool>>(false);
   Future<void> blocker;
   void pin() {
-    blocker = async([this] {
-      while (!release.load(std::memory_order_acquire)) {
+    blocker = async([release = release] {
+      while (!release->load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
     });
   }
   void drain() {
-    release.store(true, std::memory_order_release);
+    release->store(true, std::memory_order_release);
     blocker.join();
   }
 };
@@ -232,7 +239,7 @@ TEST(Cancellation, ConfigCancelOnFaultCancelsTheWholeRuntime) {
     for (auto& f : rest) EXPECT_THROW((void)f.get(), CancelledError);
     // The root scope is the runtime: even the root's spawns now fault.
     EXPECT_THROW(async([] { return 1; }), CancelledError);
-    pin.release.store(true, std::memory_order_release);
+    pin.release->store(true, std::memory_order_release);
     // pin.blocker was spawned under the (now cancelled) root scope; its
     // join surfaces the cancellation rather than blocking.
     try {
@@ -253,7 +260,7 @@ TEST(Cancellation, CancelAllStopsPendingWork) {
     for (int i = 0; i < 4; ++i) fs.push_back(async([] { return 1; }));
     rt.cancel_all(std::make_exception_ptr(std::runtime_error("shutdown")));
     for (auto& f : fs) EXPECT_THROW((void)f.get(), CancelledError);
-    pin.release.store(true, std::memory_order_release);
+    pin.release->store(true, std::memory_order_release);
     try {
       pin.blocker.join();
     } catch (const CancelledError&) {

@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -288,6 +291,74 @@ TEST(DeadlineJoin, ReadyTargetReturnsImmediately) {
     EXPECT_EQ(f.join_for(std::chrono::seconds(1)), JoinOutcome::Ready);
   });
 }
+
+}  // namespace
+
+// Readable ctest names (gtest otherwise prints the mode as raw bytes).
+void PrintTo(SchedulerMode m, std::ostream* os) { *os << to_string(m); }
+
+namespace {
+
+// A timed join on a target that is already Running, in both scheduler
+// modes: a cooperative joiner cannot inline-claim it, so both modes really
+// wait and really time out. The joiner is a worker task, so in Blocking mode
+// every wait also runs the compensation bracket.
+class DeadlineJoinModes : public ::testing::TestWithParam<SchedulerMode> {};
+
+TEST_P(DeadlineJoinModes, TimeoutOnRunningTargetWithdrawsTheWait) {
+  constexpr unsigned kWorkers = 2;
+  constexpr int kTimeouts = 8;
+  Config cfg;
+  cfg.policy = PolicyChoice::TJ_SP;
+  cfg.scheduler = GetParam();
+  cfg.workers = kWorkers;
+  cfg.obs.enabled = true;
+  Runtime rt(cfg);
+  const wfg::WaitsForGraph& graph = rt.gate().graph();
+
+  auto started = std::make_shared<std::atomic<bool>>(false);
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  rt.root([&] {
+    auto target = async([started, release] {
+      started->store(true, std::memory_order_release);
+      while (!release->load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return 7;
+    });
+    while (!started->load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    auto joiner = async([&] {
+      const std::uint64_t self = current_task().uid();
+      for (int i = 0; i < kTimeouts; ++i) {
+        EXPECT_EQ(target.join_for(std::chrono::milliseconds(2)),
+                  JoinOutcome::Timeout);
+        EXPECT_FALSE(graph.is_waiting(self));
+        EXPECT_EQ(graph.edge_count(), 0u);  // the target still runs
+        EXPECT_FALSE(target.ready());
+      }
+    });
+    // Not a join: the root must add no wait edge of its own while the
+    // joiner checks the graph.
+    while (!joiner.ready()) std::this_thread::yield();
+    joiner.join();
+    // One compensation worker at most: each timeout exit rebalanced the
+    // blocked-worker count its entry raised.
+    EXPECT_LE(rt.scheduler().thread_count(), kWorkers + 1);
+    release->store(true, std::memory_order_release);
+    EXPECT_EQ(target.get(), 7);
+  });
+  EXPECT_EQ(rt.recorder()->metrics().join_timeouts.load(),
+            static_cast<std::uint64_t>(kTimeouts));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothSchedulers, DeadlineJoinModes,
+    ::testing::Values(SchedulerMode::Blocking, SchedulerMode::Cooperative),
+    [](const ::testing::TestParamInfo<SchedulerMode>& info) {
+      return std::string(to_string(info.param));
+    });
 
 TEST(DeadlineJoin, BackoffIsDeterministicJitteredDoubling) {
   Backoff a(std::chrono::milliseconds(1), std::chrono::milliseconds(16), 42);
