@@ -129,7 +129,7 @@ SiteSnapshot snapshot_site(const SiteStats& s);
 /// What a scheduler worker is doing right now. Published always (one
 /// relaxed store per transition); *timed* only while profiling is enabled.
 enum class WorkerState : std::uint8_t {
-  Idle = 0,         ///< parked on the queue condvar, nothing to do
+  Idle = 0,         ///< parked on the scheduler's sleep futex, no work
   Stealing = 1,     ///< woke up, dequeuing / looking for work
   Running = 2,      ///< executing a claimed task body
   BlockedJoin = 3,  ///< blocked in an admitted join/await

@@ -1,7 +1,8 @@
 #pragma once
 // Runtime configuration: which policy verifies joins, how rejections fault,
-// and which of the two HJ-style schedulers executes tasks (paper footnote 4
-// evaluates both a blocking and a cooperative work-sharing runtime).
+// and which of the two HJ-style join disciplines the work-stealing scheduler
+// uses (paper footnote 4 evaluates both a blocking and a cooperative
+// work-sharing runtime; only the queue discipline differs here).
 
 #include <cstdint>
 #include <string_view>
@@ -20,11 +21,12 @@ namespace tj::runtime {
 enum class SchedulerMode : std::uint8_t {
   /// A worker whose join must wait blocks its thread; the pool spawns a
   /// bounded number of compensation workers to preserve parallelism
-  /// (HJ's blocking work-sharing runtime).
+  /// (the join discipline of HJ's blocking runtime).
   Blocking,
   /// A worker whose join target is still queued claims and runs it inline
-  /// (help-first work sharing); it only blocks when the target is already
-  /// running elsewhere (HJ's cooperative runtime, used for NQueens).
+  /// (help-first); it only blocks when the target is already running
+  /// elsewhere (the join discipline of HJ's cooperative runtime, used for
+  /// NQueens).
   Cooperative,
 };
 

@@ -333,6 +333,10 @@ Runtime::~Runtime() {
   // Stop background work while every member is alive: a pending redelivery
   // can hold the last reference to a task whose release erases promises_.
   housekeeper_.stop();
+  // Likewise a stale run-queue entry, or one a worker is still releasing
+  // after quiesce, can hold a cancelled task whose unrun closure owns a
+  // promise: join the workers and drop the entries before members die.
+  sched_.stop();
 }
 
 void Runtime::claim_root() {

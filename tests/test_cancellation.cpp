@@ -20,8 +20,10 @@ namespace tj::runtime {
 namespace {
 
 // Pins the (single) worker so everything spawned afterwards stays queued.
-// Spawn the blocker OUTSIDE any cancellation scope under test so it is not
-// itself cancelled.
+// Call pin() from the root task: the root is not a worker, so the blocker
+// and everything spawned after it go through the FIFO injection queue, and
+// the worker dequeues the blocker first. Spawn the blocker OUTSIDE any
+// cancellation scope under test so it is not itself cancelled.
 //
 // The release flag is shared with the blocker by value, not through `this`:
 // a cancelled root throws at its join checkpoint while the blocker still

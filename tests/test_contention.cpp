@@ -141,18 +141,23 @@ TEST(ContentionWrapper, WaitsLandOnTheContendedSiteOnly) {
 TEST(ContentionWrapper, LongContendedHoldIsRecordedAtUnlock) {
   ContentionEnableGuard on(true);
   ProfiledMutex mu("test.long-hold");
-  std::atomic<bool> locked{false};
+  WorkerStateBoard board;
+  WorkerSlot* slot = board.register_worker();
   // Thread B's acquisition is contended (A holds the lock when B arrives);
   // B then holds well past kLongHoldNs, which must land in hold_ns.
   mu.lock();
   std::thread b([&] {
+    obs::tls_worker_slot() = slot;
     std::scoped_lock lk(mu);  // blocks until A releases -> contended
     std::this_thread::sleep_for(std::chrono::microseconds(300));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // The contended path publishes BlockedLock before it blocks, so once it
+  // shows B is committed to a contended acquisition.
+  while (slot->current() != WorkerState::BlockedLock) {
+    std::this_thread::yield();
+  }
   mu.unlock();
   b.join();
-  (void)locked;
 
   SiteSnapshot snap;
   ASSERT_TRUE(find_site("test.long-hold", snap));
