@@ -363,5 +363,36 @@ TEST(Admission, InlinedChildAwaitingParentPromiseFaultsInsteadOfHanging) {
   EXPECT_GE(rt.gate_stats().deadlocks_averted, 1u);
 }
 
+// The same program under Async: run_inline's edge enters the WFG unchecked,
+// so the cycle child -> p -> root -> child is only found by the detector.
+// The root thread registers no wait of its own (it is running the child,
+// not joining), and recovery must still break the child's await.
+TEST(Admission, InlinedChildAwaitingParentPromiseRecoveredUnderAsync) {
+  Config cfg;
+  cfg.policy = PolicyChoice::Async;
+  cfg.scheduler = SchedulerMode::Blocking;
+  cfg.workers = 2;
+  cfg.governor.spawn_inline_watermark = 1;
+  cfg.detector.tick_us = 100;
+  Runtime rt(cfg);
+
+  rt.root([&] {
+    std::atomic<bool> go{false};
+    Future<void> sleeper = async([&go] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    Promise<int> p = make_promise<int>();
+    Future<int> child = async([p] { return p.get(); });
+    EXPECT_TRUE(child.ready());
+    EXPECT_THROW((void)child.get(), DeadlockAvoidedError);
+    p.fulfill(42);
+    go.store(true, std::memory_order_release);
+    sleeper.join();
+  });
+  EXPECT_GE(rt.gate_stats().cycles_recovered, 1u);
+}
+
 }  // namespace
 }  // namespace tj::runtime
